@@ -133,20 +133,22 @@ class CheckpointManager:
             # clear stale or partial output — never mix files of two runs
             shutil.rmtree(path)
         t0 = time.monotonic()
-        ds = build()
+        built = build()
         # strip per-block pandas schema metadata before the write: parquet
         # files carrying a b'pandas' metadata dict make every downstream
         # schema-unify attempt log "Failed to hash the schemas" (pa.Schema
         # with dict metadata is unhashable) — clean files, clean reads
-        ds = ds.map_batches(lambda t: t.replace_schema_metadata(None),
-                            batch_format="pyarrow", batch_size=None)
+        ds = built.map_batches(lambda t: t.replace_schema_metadata(None),
+                               batch_format="pyarrow", batch_size=None)
         # write_parquet drives the streaming execution; one file per block
         ds.write_parquet(path)
         if not os.path.isdir(path) or not any(
                 f.endswith(".parquet") for f in os.listdir(path)):
             # zero-row result: write_parquet emits no files — persist an
-            # empty schema-typed file so resume still round-trips
-            _write_empty(path, ds)
+            # empty schema-typed file so resume still round-trips (the
+            # built dataset's schema: the metadata-strip map of a zero-row
+            # input emits no block, so its own schema is lost)
+            _write_empty(path, built)
         out = rd.read_parquet(path)
         rec = {
             "stage": name,

@@ -21,8 +21,8 @@ training-data pipeline would need"), all streaming:
 
 Returns {"kept": Dataset, "removed": Dataset[id, reason], "stats": dict}.
 Removal id-sets are the DUPLICATES (small relative to the corpus — never
-the keep-list), broadcast via ray.put below ``broadcast_threshold`` with
-a hash anti-join fallback above it.
+the keep-list); survivors are their anti-join (stages/join.hash_join,
+which broadcasts a small ledger and shuffles a large one).
 
 Pinning: every survivor transition has >=2 downstream consumers (the next
 stage's ledger pass + the anti-join output; the perplexity gate alone
@@ -39,50 +39,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from ..stages.cluster import connected_components
 from ..stages.dedup import minhash_lsh_dedup
 from ..stages.grouped import grouped_map
+from ..stages.join import hash_join
 from ..stages.textstats import add_lang_id, add_quality_score, \
     add_token_counts
 from ..stages.textstats import fnv1a_64
 
 __all__ = ["curate_documents"]
-
-
-def _anti_join_ds(ds, bad_ds, n_bad: int, id_col: str,
-                  broadcast_threshold: int):
-    """Drop rows whose id appears in the ``bad_ds`` Dataset.
-
-    ``bad_ds`` stays distributed: below ``broadcast_threshold`` only its ID
-    COLUMN is pulled (bounded by the threshold) and broadcast via
-    ``ray.put``; above it a distributed hash LEFT-join anti-filter runs —
-    the removal ledger is NEVER collected unconditionally (r2 verdict
-    "What's wrong #1": on web corpora 30-50% of docs are dupes)."""
-    if n_bad == 0:
-        return ds
-    if n_bad <= broadcast_threshold:
-        ids = bad_ds.select_columns([id_col]).to_pandas()[id_col]
-        ref = ray.put(set(int(x) for x in ids))
-
-        def drop(df: pd.DataFrame) -> pd.DataFrame:
-            from ..stages.bcast import cached_get
-            bad = cached_get(ref)
-            return df[~df[id_col].isin(bad)]
-        return ds.map_batches(drop, batch_format="pandas")
-    from ..stages.join import hash_join
-
-    def mark(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t[id_col].cast(pa.int64()),
-                         "_bad": pa.array(np.ones(len(t), np.int8))})
-    bad = bad_ds.map_batches(mark, batch_format="pyarrow")
-    joined = hash_join(ds, bad, on=id_col, how="left")
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["_bad"].isna()].drop(columns=["_bad"])
-    return joined.map_batches(keep, batch_format="pandas")
 
 
 def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -91,7 +58,6 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
                      langs: list[str] | None = None,
                      near_dup: bool = True,
                      jaccard_threshold: float = 0.8,
-                     broadcast_threshold: int = 5_000_000,
                      segment_scrub: bool = False,
                      words_per_seg: int = 20,
                      seg_max_count: int = 2,
@@ -154,6 +120,12 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          params=_params)
         _prev[0] = (name,)
         return out
+
+    def drop_ids(dsx, ledger):
+        # NOT EXISTS against a removal ledger's ids
+        return hash_join(dsx, ledger.select_columns([id_col]), on=id_col,
+                         how="anti")
+
     if pii_scrub:
         from ..stages.pii import redact_pii
         ds = redact_pii(ds, text_col=text_col, out_col=text_col)
@@ -210,9 +182,8 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
             contaminated_ledger, batch_format="pyarrow"))
         n_contaminated = contam_removed.count()
         removed_frames.append(contam_removed)
-        survivors = _pin("survivors_decontam", _anti_join_ds(
-            survivors, contam_removed, n_contaminated,
-            id_col, broadcast_threshold))
+        survivors = _pin("survivors_decontam",
+                         drop_ids(survivors, contam_removed))
 
     n_high_ppl = None
     if max_nll is not None:
@@ -233,9 +204,7 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
             high_ppl_ledger, batch_format="pyarrow"))
         n_high_ppl = ppl_removed.count()
         removed_frames.append(ppl_removed)
-        survivors = _pin("survivors_ppl", _anti_join_ds(
-            survivors, ppl_removed, n_high_ppl,
-            id_col, broadcast_threshold))
+        survivors = _pin("survivors_ppl", drop_ids(survivors, ppl_removed))
 
     # exact dup: min id per text hash; emit ONLY the non-representatives
     def add_hash(df: pd.DataFrame) -> pd.DataFrame:
@@ -255,14 +224,11 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
     hashed = survivors.map_batches(add_hash, batch_format="pandas")
     # ledger stays a DATASET: pinned (small relative to the corpus
     # per partition, object-store- or parquet-backed, spillable) but never
-    # pulled to the driver except the bounded broadcast fast path in
-    # _anti_join_ds
+    # pulled to the driver except by hash_join's size-gated broadcast
     exact_removed = _pin("ledger_exact", grouped_map(hashed, "_th",
                                                      exact_losers))
-    n_exact = exact_removed.count()
     removed_frames.append(exact_removed)
-    survivors = _pin("survivors_exact", _anti_join_ds(
-        survivors, exact_removed, n_exact, id_col, broadcast_threshold))
+    survivors = _pin("survivors_exact", drop_ids(survivors, exact_removed))
 
     ledger_schema = pa.schema([(id_col, pa.int64()),
                                ("reason", pa.string())])
@@ -279,8 +245,6 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
             # hash join of the SLIM (id, quality) projection against the
             # family members, then a per-family vectorized pick — family
             # rows only, never the corpus texts.
-            from ..stages.join import hash_join
-
             def slim_q(df: pd.DataFrame) -> pd.DataFrame:
                 return pd.DataFrame({
                     "node": df[id_col].to_numpy(np.int64),
@@ -318,9 +282,7 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
                                 schema=ledger_schema)
             near_removed = _pin("ledger_near", comp.map_batches(
                 losers, batch_format="pyarrow"))
-        n_near = near_removed.count()
-        survivors = _pin("survivors_near", _anti_join_ds(
-            survivors, near_removed, n_near, id_col, broadcast_threshold))
+        survivors = _pin("survivors_near", drop_ids(survivors, near_removed))
     removed_frames.append(near_removed)
 
     n_capped = None
@@ -345,9 +307,7 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
                            grouped_map(slim, source_col, cap_losers))
         n_capped = cap_removed.count()
         removed_frames.append(cap_removed)
-        survivors = _pin("survivors_cap", _anti_join_ds(
-            survivors, cap_removed, n_capped, id_col,
-            broadcast_threshold))
+        survivors = _pin("survivors_cap", drop_ids(survivors, cap_removed))
 
     n_sampled_out = None
     if sample_fraction is not None:
@@ -370,9 +330,8 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
             bern_split, batch_format="pandas"))
         n_sampled_out = samp_removed.count()
         removed_frames.append(samp_removed)
-        survivors = _pin("survivors_sample", _anti_join_ds(
-            survivors, samp_removed, n_sampled_out, id_col,
-            broadcast_threshold))
+        survivors = _pin("survivors_sample",
+                         drop_ids(survivors, samp_removed))
 
     n_segments_removed = None
     if segment_scrub:
@@ -384,7 +343,6 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
         survivors = _pin("survivors_segscrub", segment_dedup(
             survivors, text_col=text_col, id_col=id_col,
             words_per_seg=words_per_seg, max_count=seg_max_count,
-            broadcast_threshold=broadcast_threshold,
             input_partitions=None, replace_text=True))
         agg = survivors.aggregate(Sum("n_removed", alias_name="s"))
         n_segments_removed = int(agg["s"] or 0)

@@ -51,8 +51,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
                      max_block_pairs: int = DEFAULT_MAX_BLOCK_PAIRS,
                      scorer_concurrency=None,
                      sort_output: bool = True,
-                     input_partitions: int | str | None = "auto",
-                     broadcast_records_threshold: int = 0) -> dict:
+                     input_partitions: int | str | None = "auto") -> dict:
     """Self-link (dedup) a transcript corpus into entity clusters.
 
     ``blocktype``: "equality" (default — exact block_key match),
@@ -144,48 +143,6 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
             return add_pair_features(
                 wide.materialize().repartition(4 * default_partitions()),
                 slim=True)
-        if (blocktype == "equality" and broadcast_records_threshold
-                and records.count() <= broadcast_records_threshold):
-            # OPT-IN slim path (default OFF): blocking emits bare
-            # (id_from, id_to, score, matches, block_key) rows —
-            # ~40 B/pair through the shuffle instead of ~400 — and the
-            # feature stage joins attributes from a records table
-            # broadcast ONCE inside the actor-pool map
-            # (stages/features.py:BroadcastFeaturizer). Measured
-            # SINGLE-NODE (21M pairs, 32 cpus, interleaved A/B x2):
-            # wide 99-106 s vs slim 163-188 s — the local object store
-            # makes the wide shuffle nearly free while the slim path
-            # pays id hashing + actor-pool decode, so wide is the
-            # single-node default. On a multi-node cluster the wide
-            # pair shuffle crosses the NETWORK at ~400 B/pair; the 10x
-            # byte reduction is then the expected win — enable by
-            # passing broadcast_records_threshold > n_records.
-            import pyarrow as _pa
-            import ray as _ray
-            from ..stages.features import BroadcastFeaturizer
-            slim = candidates(
-                records.select_columns(["conv_id", "block_key"]), None,
-                block_col="block_key", id_col="conv_id",
-                blocktype=blocktype, maxdist=maxdist, attr_cols=[],
-                max_block_pairs=max_block_pairs, keep_unmatched=False)
-            # permissive promote: per-block pandas->Arrow conversion can
-            # type an all-null column as null in one block and string in
-            # another
-            rec_tbl = _pa.concat_tables(
-                _ray.get(records.select_columns(
-                    ["conv_id"] + PAIR_ATTR_COLS).to_arrow_refs()),
-                promote_options="permissive")
-            ref = _ray.put(rec_tbl)
-            pool = (1, max(8, default_partitions() // 2))
-            out_cols = (["conv_id_from", "conv_id_to", "score", "block_key"]
-                        + TRANSCRIPT_FEATURES)
-            return slim.materialize().repartition(
-                4 * default_partitions()).map_batches(
-                BroadcastFeaturizer,
-                fn_constructor_kwargs={"records_ref": ref,
-                                       "id_col": "conv_id",
-                                       "out_cols": out_cols},
-                batch_format="pyarrow", concurrency=pool)
         cand = candidates(
             records, None, block_col="block_key", id_col="conv_id",
             blocktype=blocktype, maxdist=maxdist,
@@ -264,26 +221,9 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
         inputs=("conv_records", "components"))
 
     def build_turns_out():
-        ent_map = entities.select_columns(["conv_id", "entity_id"])
-        if entities.count() <= 5_000_000:
-            # conv->entity map is small relative to the turn table:
-            # broadcast once instead of shuffling every turn row twice
-            # (collected as ARROW blocks — zero-copy concat, no driver-side
-            # per-value pandas materialization)
-            import pyarrow as _pa
-            import ray as _ray
-            from ..stages.join import broadcast_join
-            blocks = [b for b in _ray.get(ent_map.to_arrow_refs())
-                      if len(b)]
-            ent_tbl = (_pa.concat_tables(blocks,
-                                         promote_options="permissive")
-                       if blocks else
-                       _pa.table({"conv_id": _pa.array([], _pa.string()),
-                                  "entity_id": _pa.array([], _pa.string())}))
-            out = broadcast_join(ds_turns, ent_tbl,
-                                 on="conv_id", how="left")
-        else:
-            out = hash_join(ds_turns, ent_map, on="conv_id", how="left")
+        out = hash_join(ds_turns,
+                        entities.select_columns(["conv_id", "entity_id"]),
+                        on="conv_id", how="left")
         # the per-turn text-equality invariant is checked under stable
         # (conv_id, turn_idx) order (BASELINE.json input_hint)
         return out.sort(["conv_id", "turn_idx"]) if sort_output else out

@@ -3979,21 +3979,25 @@ def q_tpch_q3(sf_dir: str):
     lineitem x orders, per-batch partial revenue sums before the ONE
     grouped merge, then global top-k WITHOUT a full sort
     (stages/reshape.global_topk)."""
-    from ..stages.join import broadcast_join, hash_join
+    from ..stages.join import hash_join
     from ..stages.grouped import grouped_map
     from ..stages.reshape import global_topk
     SEG, DATE = "BUILDING", "1995-03-15"
+
+    def c_filter(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        return t.filter(pc.equal(t["c_mktsegment"], SEG))
     cust = _rpc(f"{sf_dir}/customer.parquet",
-                columns=["c_custkey", "c_mktsegment"]).to_pandas()
-    cust = cust[cust["c_mktsegment"] == SEG][["c_custkey"]]
+                columns=["c_custkey", "c_mktsegment"]).map_batches(
+        c_filter, batch_format="pyarrow")
     orders = _rpc(f"{sf_dir}/orders.parquet",
                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
     def o_filter(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["o_orderdate"] < pd.Timestamp(DATE)]
-    orders = broadcast_join(
+    orders = hash_join(
         orders.map_batches(o_filter, batch_format="pandas"),
-        cust, on="o_custkey", right_on="c_custkey", how="inner")
+        cust, on="o_custkey", right_on="c_custkey", how="semi")
     li = _rpc(f"{sf_dir}/lineitem.parquet",
               columns=["l_orderkey", "l_extendedprice", "l_discount",
                        "l_shipdate"])
@@ -4045,7 +4049,7 @@ def q_tpch_q18(sf_dir: str):
     the one co-partition merge), filter, then a hash join back to orders
     and a broadcast customer-name attach — the group-filter-join-back
     pattern."""
-    from ..stages.join import broadcast_join, hash_join
+    from ..stages.join import hash_join
     from ..stages.grouped import grouped_map
     THRESH = 250.0
     li = _rpc(f"{sf_dir}/lineitem.parquet",
@@ -4068,9 +4072,9 @@ def q_tpch_q18(sf_dir: str):
                   columns=["o_orderkey", "o_custkey", "o_totalprice",
                            "o_orderdate"])
     j = hash_join(qty, orders, on="l_orderkey", right_on="o_orderkey")
-    cust = _rpc(f"{sf_dir}/customer.parquet",
-                columns=["c_custkey", "c_name"]).to_pandas()
-    out = broadcast_join(j, cust, on="o_custkey", right_on="c_custkey")
+    cust = _rpc(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
+    out = hash_join(j, cust, on="o_custkey", right_on="c_custkey",
+                    how="left")
 
     def proj(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -4551,7 +4555,7 @@ def sql_dedup_canonical(sf_dir: str) -> str:
          trim(regexp_replace(
            regexp_replace(
              regexp_replace(lower(coalesce(text, '')), '[0-9][0-9.,]*', '0', 'g'),
-             '[!"#$%&''()*+,\-./:;<=>?@\[\\]^_`{|}~]', ' ', 'g'),
+             '[!"#$%&''()*+,\-./:;<=>?@\[\\\]^_`{|}~]', ' ', 'g'),
            '\s+', ' ', 'g')) AS text_canon
   FROM documents
 )

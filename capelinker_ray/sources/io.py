@@ -199,35 +199,43 @@ def read_hive(path: str, *, columns: list[str] | None = None,
     """Read a hive-partitioned Parquet directory with PARTITION PRUNING
     pushed into the file listing: ``partition_filter={"lang": ["en"],
     "source": ["web"]}`` reads only the matching ``key=value``
-    subdirectories — no footer of any other partition is ever opened
-    (the directory-level analog of the column pruning every source here
-    does). Values are compared as their string directory encoding."""
+    subdirectories — no other partition's directory is ever listed, nor
+    any footer of it opened (the directory-level analog of the column
+    pruning every source here does). Values are compared as their string
+    directory encoding; a filter key that no partition directory has
+    raises ``ValueError``."""
     import os
 
     if not partition_filter:
         return read_parquet_clean(path, columns=columns, **kwargs)
 
-    def matches(rel: str) -> bool:
-        parts = dict(seg.split("=", 1) for seg in rel.split(os.sep)
-                     if "=" in seg)
-        for k, allowed in partition_filter.items():
-            allowed = ([str(v) for v in allowed]
-                       if isinstance(allowed, (list, tuple, set))
-                       else [str(allowed)])
-            if k in parts and parts[k] not in allowed:
-                return False
-        return True
-
-    files = []
-    for root, _dirs, fnames in os.walk(path):
-        rel = os.path.relpath(root, path)
-        if rel != "." and not matches(rel):
-            continue
+    allowed = {k: ({str(x) for x in v} if isinstance(v, (list, tuple, set))
+                   else {str(v)})
+               for k, v in partition_filter.items()}
+    files, seen_keys = [], set()
+    for root, dirs, fnames in os.walk(path):
+        # prune while walking: an excluded key=value subtree is never
+        # listed, let alone read
+        keep = []
+        for d in dirs:
+            k, eq, v = d.partition("=")
+            if eq:
+                seen_keys.add(k)
+                if k in allowed and v not in allowed[k]:
+                    continue
+            keep.append(d)
+        dirs[:] = keep
         files.extend(os.path.join(root, f) for f in fnames
                      if f.endswith(".parquet"))
     if not files:
         raise FileNotFoundError(
             f"no parquet files under {path} match {partition_filter}")
+    # a surviving file's path crossed every partition level, so a key seen
+    # nowhere is in no path — a typo'd key would otherwise read everything
+    unknown = set(allowed) - seen_keys
+    if unknown:
+        raise ValueError(f"partition_filter keys {sorted(unknown)} name no "
+                         f"partition directory under {path}")
     # partition columns live in the directory names; Ray re-derives them
     # from the paths of the pruned file list
     return rd.read_parquet(sorted(files), columns=columns, **kwargs)

@@ -592,83 +592,17 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
 
 def attach_pair_attrs(pairs, records, *, id_col: str,
                       attr_cols: list[str],
-                      num_partitions: int | None = None,
-                      broadcast_threshold: int = 500_000):
+                      num_partitions: int | None = None):
     """(id_from, id_to, ...) pairs + record attributes -> the wide
     ``{attr}_from`` / ``{attr}_to`` pair table the feature stage consumes
     (candidates() emits this inline; the corpus-wide bigram blocker ships
-    slim id pairs and joins attributes back here).
-
-    Below ``broadcast_threshold`` records the attribute table is put in
-    the object store ONCE and both sides merge in a single shuffle-free
-    map pass — two sort-shuffle hash joins cost ~7 s of fixed barrier
-    each at any corpus size, which dominated the bigram-global flagship's
-    candidate stage (15.3 s of 23 s measured at sf0.1). Above it (records
-    no longer comfortably fit one heap: 100-TB path) the original two
-    distributed hash joins of the PAIR table run — never a per-bucket
-    replication of wide rows.
+    slim id pairs and joins attributes back here): two joins of the PAIR
+    table against the record attributes — never a per-bucket replication
+    of wide rows. hash_join broadcasts the attribute side while it is
+    small.
 
     Record ids are matched as strings (bigram_candidates normalizes pair
     ids to str)."""
-    n_rec = records.count()
-    if n_rec <= broadcast_threshold:
-        # ONE arrow attribute table in the object store (not two renamed
-        # pandas copies); each worker indexes it once (join._bcast_lookup
-        # per-process cache) and every batch pays two O(batch) probes —
-        # the old per-batch double pandas merge re-deserialized and
-        # re-hashed the full record table for every pair batch
-        blocks = [b for b in ray.get(records.map_batches(
-            lambda t: pa.table(
-                {"_id": t[id_col].cast(pa.string()),
-                 **{c: t[c] for c in attr_cols}}),
-            batch_format="pyarrow").to_arrow_refs()) if len(b)]
-        rtbl = (pa.concat_tables(blocks, promote_options="permissive")
-                if blocks else pa.table({"_id": pa.array([], pa.string())}))
-        ref = ray.put(rtbl)
-        from .join import _bcast_lookup
-
-        def join_both(df: pd.DataFrame) -> pa.Table:
-            rdf, idx, unique, colcache = _bcast_lookup(ref, ["_id"])
-            if not unique:
-                f_df = rdf.rename(columns={
-                    "_id": "id_from", **{c: f"{c}_from" for c in attr_cols}})
-                t_df = rdf.rename(columns={
-                    "_id": "id_to", **{c: f"{c}_to" for c in attr_cols}})
-                out = df.merge(f_df, on="id_from", how="inner")
-                out = out.merge(t_df, on="id_to", how="left")
-                return pa.Table.from_pandas(
-                    out, preserve_index=False).replace_schema_metadata(None)
-            pos_f = idx.get_indexer(df["id_from"].to_numpy())
-            keep = pos_f >= 0
-            out = df[keep].reset_index(drop=True)
-            pos_f = pos_f[keep]
-            pos_t = idx.get_indexer(out["id_to"].to_numpy())
-            found_t = pos_t >= 0
-            all_t = found_t.all()
-            safe_t = pos_t if all_t else np.where(found_t, pos_t, 0)
-            for c in attr_cols:
-                src = colcache.get(c)
-                if src is None:
-                    src = colcache[c] = rdf[c].to_numpy()
-                out[f"{c}_from"] = src[pos_f]
-                tcol = src[safe_t]
-                if not all_t:
-                    if tcol.dtype.kind in "iub":
-                        tcol = tcol.astype(
-                            np.float64 if tcol.dtype.kind != "b" else object)
-                    else:
-                        tcol = tcol.copy()
-                    tcol[~found_t] = (np.datetime64("NaT")
-                                      if tcol.dtype.kind in "Mm" else np.nan)
-                out[f"{c}_to"] = tcol
-            # Arrow out: downstream rename_columns/project expect Arrow
-            # blocks, and typed empties keep the size estimator quiet
-            # (metadata stripped: from_pandas attaches an unhashable dict)
-            return pa.Table.from_pandas(
-                out, preserve_index=False).replace_schema_metadata(None)
-
-        return pairs.map_batches(join_both, batch_format="pandas")
-
     from .join import hash_join
 
     def side(suffix: str):

@@ -26,13 +26,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from .join import hash_join
+from .join import collect_arrow, hash_join
 
 __all__ = ["connected_components", "expand_index", "attach_entity_ids",
            "golden_records"]
 
 
 _HM = np.uint64(0x9E3779B97F4A7C15)      # odd → bijective mod 2^64
+
+# connected_components(strategy="auto") closes edge lists up to this size
+# on the driver, larger ones with the distributed iteration
+DRIVER_EDGE_MAX = 5_000_000
 
 
 def _rowhash_utf8(arr) -> np.ndarray:
@@ -132,7 +136,6 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
                          id_to: str = "conv_id_to",
                          max_iterations: int = 50,
                          strategy: str = "auto",
-                         driver_edge_threshold: int = 5_000_000,
                          num_partitions: int | None = None):
     """Dataset[links] -> Dataset[(node:str, entity_id:str)].
 
@@ -140,9 +143,10 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
     coordination-free — no global counter at 100 TB).
 
     ``strategy``: "auto" uses the DRIVER-SIDE union-find when the edge list
-    is small (links ≪ records for a linkage graph — (src,dst) id pairs for
-    5M edges are ~200 MB, trivially collectable; the cluster-scale cost
-    lives in producing the links, not closing them), else the distributed
+    has at most ``DRIVER_EDGE_MAX`` edges (links ≪ records for a linkage
+    graph — (src,dst) id pairs for 5M edges are ~200 MB, trivially
+    collectable; the cluster-scale cost lives in producing the links, not
+    closing them), else the distributed
     hash-min + pointer-doubling iteration. "distributed" forces the
     iterative path (exercised by tests); "driver" forces the local path.
     """
@@ -154,26 +158,21 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
     ds_links = ds_links.materialize()
     if strategy == "auto":
         n_edges = ds_links.count()
-        strategy = ("driver" if n_edges <= driver_edge_threshold
+        strategy = ("driver" if n_edges <= DRIVER_EDGE_MAX
                     else "distributed")
 
     if strategy == "driver":
-        import ray
         import ray.data as rd
-        # collect as ARROW blocks: zero-copy through plasma + C++ concat,
-        # vs to_pandas()'s per-value object materialization of every id
-        blocks = ray.get(
-            ds_links.select_columns([id_from, id_to]).to_arrow_refs())
-        blocks = [b for b in blocks if len(b)]
-        if not blocks:
+        pairs = collect_arrow(
+            ds_links.select_columns([id_from, id_to]),
+            pa.schema([(id_from, pa.string()), (id_to, pa.string())]))
+        if not len(pairs):
             # a 0-row dataset can surface with no columns at all (Ray emits
             # zero blocks) — the component table is simply empty
             return rd.from_arrow(pa.table({
                 "node": pa.array([], pa.string()),
                 "entity_id": pa.array([], pa.string())}))
-        pairs = pa.concat_tables(blocks, promote_options="permissive")
-        nodes, ents = _union_find_local(pairs[id_from].cast(pa.string()),
-                                        pairs[id_to].cast(pa.string()))
+        nodes, ents = _union_find_local(pairs[id_from], pairs[id_to])
         # arrow blocks (Ray 2.49 rename_columns/select_columns choke on
         # pandas blocks), one block — downstream joins repartition anyway
         return rd.from_arrow(pa.table({"node": nodes, "entity_id": ents}))
@@ -261,35 +260,12 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
     return labels.rename_columns({"label": "entity_id"})
 
 
-def attach_entity_ids(ds_records, ds_components, *, id_col: str = "conv_id",
-                      broadcast_threshold: int = 5_000_000):
+def attach_entity_ids(ds_records, ds_components, *, id_col: str = "conv_id"):
     """Left-join entity ids back onto records; unlinked records become their
     own singleton entity (entity_id = own id), mirroring the reference's
-    'every record keeps an index' contract (util.R:17-21).
-
-    The component map holds one row per LINKED record — usually tiny
-    relative to the corpus — so it is broadcast (``ray.put`` once, pandas
-    merge per batch, NO shuffle) below ``broadcast_threshold`` rows; the
-    shuffle hash_join is the fallback for genuinely huge link graphs."""
-    if ds_components.count() <= broadcast_threshold:
-        import ray
-        blocks = [b for b in ray.get(ds_components.to_arrow_refs())
-                  if len(b)]
-        if blocks:
-            comp = pa.concat_tables(blocks, promote_options="permissive")
-        else:
-            comp = pa.table({"node": pa.array([], pa.string()),
-                             "entity_id": pa.array([], pa.string())})
-        from .join import broadcast_join
-        joined = broadcast_join(ds_records, comp, on=id_col,
-                                right_on="node", how="left")
-
-        def fill_pd(df: pd.DataFrame) -> pd.DataFrame:
-            # assign = shallow copy of untouched columns (no deep copy)
-            return df.assign(entity_id=df["entity_id"].where(
-                df["entity_id"].notna(), df[id_col].astype(str)))
-        return joined.map_batches(fill_pd, batch_format="pandas")
-
+    'every record keeps an index' contract (util.R:17-21). The component
+    map holds one row per LINKED record — usually small, so hash_join
+    broadcasts it."""
     joined = hash_join(ds_records, ds_components, on=id_col, right_on="node",
                        how="left")
 

@@ -29,7 +29,6 @@ Everything is vectorized numpy over Arrow columns; no Python loop over pairs.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..kernels.strdist import (
@@ -204,96 +203,3 @@ def add_pair_features(ds_pairs, ts_sigma_days: float = 30.0,
     return ds_pairs.map_batches(fn, batch_format="pyarrow",
                                 batch_size=batch_size)
 
-
-class BroadcastFeaturizer:
-    """Actor-pool stage: slim (id_from, id_to, score, matches, block_key)
-    pairs + a BROADCAST record-attribute table -> the full pair-feature
-    rows, without wide pair rows ever existing.
-
-    The wide path (blocking emits pairs carrying both sides' attributes,
-    ``add_pair_features`` maps over them) ships ~400 B/pair through the
-    repartition shuffle; at 21M pairs that is ~8 GB of memory traffic
-    before any feature math runs. This stage instead broadcasts the
-    record table ONCE (``ray.put`` of the Arrow table, plasma-shared);
-    each actor decodes it to flat numpy arrays in ``__init__`` (once per
-    actor, the scorer-pool convention), and per batch the two sides are
-    gathered positionally (``pd.Index.get_indexer`` — its hashtable
-    builds once — then ``np.take``) and the feature kernels run on the
-    gathered arrays. No per-batch pandas frame, no Arrow<->pandas
-    round-trip: the ONLY per-batch conversion is the two id columns, and
-    feature float64 arrays append to the slim Arrow batch directly.
-
-    Contract: every pair id must resolve in the record table (pairs come
-    from the same records); asserted per batch.
-    """
-
-    def __init__(self, records_ref, *, id_col: str = "conv_id",
-                 ts_sigma_days: float = 30.0,
-                 out_cols: list[str] | None = None):
-        import ray
-        tbl = ray.get(records_ref)
-        self.id_col = id_col
-        self.ts_sigma_days = ts_sigma_days
-        self.out_cols = out_cols
-        self.idx = pd.Index(
-            np.asarray(tbl[id_col].cast(pa.string()).to_pylist(), dtype=object))
-
-        def obj(col):
-            if col in tbl.column_names:
-                return np.asarray(tbl[col].to_pylist(), dtype=object)
-            return np.full(len(tbl), None, dtype=object)
-
-        def num(col):
-            a = tbl[col]
-            if pa.types.is_timestamp(a.type):
-                a = a.cast(pa.int64())
-            return np.array(a.to_pylist(), dtype=np.float64)
-
-        self.first_text = obj("first_text_32")
-        self.second_text = obj("second_text_32")
-        self.initials = obj("first_text_initials")
-        self.role_sig = obj("role_sig")
-        tm = num("tool_mask")
-        self.tool_mask = np.where(np.isnan(tm), -1, tm).astype(np.int64)
-        self.ts_days = num("ts_min") / 86_400e6
-        self.n_turns = num("n_turns")
-        self.text_chars = num("text_chars")
-        self.epoch = num("epoch")
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        idf, idt = f"{self.id_col}_from", f"{self.id_col}_to"
-        pf = self.idx.get_indexer(
-            np.asarray(t[idf].cast(pa.string()).to_pylist(), dtype=object))
-        pt = self.idx.get_indexer(
-            np.asarray(t[idt].cast(pa.string()).to_pylist(), dtype=object))
-        if len(pf):
-            assert pf.min() >= 0 and pt.min() >= 0, \
-                "pair id missing from broadcast record table"
-        ff, ft = self.first_text[pf], self.first_text[pt]
-        sf, st = self.second_text[pf], self.second_text[pt]
-        inf, int_ = self.initials[pf], self.initials[pt]
-        rf, rt = self.role_sig[pf], self.role_sig[pt]
-        role_null = pd.isna(rf) | pd.isna(rt)
-        role_eq = np.where(role_null, np.nan, (rf == rt).astype(np.float64))
-        cols = {
-            "first_textdist": 1.0 - jaro_winkler_sim(ff, ft, p=0.1, max_len=32),
-            "first_textdist_osa": 1.0 - osa_sim(ff, ft, max_len=32),
-            "first_textsdx": soundex_dist(ff, ft),
-            "second_textdist": 1.0 - jaro_winkler_sim(sf, st, p=0.1, max_len=32),
-            "initialsdist_osa": 1.0 - osa_sim(inf, int_, max_len=32),
-            "tool_jacc": mask_jaccard(self.tool_mask[pf], self.tool_mask[pt]),
-            "role_sig_eq": role_eq,
-            "n_turnsdist": self.n_turns[pf] - self.n_turns[pt],
-            "text_charsdist": self.text_chars[pf] - self.text_chars[pt],
-            "ts_gapgauss": gk(self.ts_days[pf], self.ts_days[pt],
-                              sigma=self.ts_sigma_days),
-            "epochdist": self.epoch[pf] - self.epoch[pt],
-        }
-        for name, arr in cols.items():
-            t = t.append_column(name, pa.array(arr, pa.float64()))
-        if "matches" not in t.column_names:
-            t = t.append_column(
-                "matches", pa.array(np.full(len(t), np.nan), pa.float64()))
-        if self.out_cols:
-            t = t.select(self.out_cols)
-        return t

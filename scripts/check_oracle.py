@@ -9,7 +9,7 @@ Run:  python scripts/check_oracle.py [sf_dir] [query ...]
 query callable, followed transitively through same-package calls one
 level deep) or oracle SQL hash differs from the last recorded green run
 (cache: .cache/oracle_hashes.json, updated on success) — keeps
-per-commit local verification cheap against the 120-query registry.
+per-commit local verification cheap against the whole query registry.
 """
 
 from __future__ import annotations
@@ -54,13 +54,65 @@ _HASH_CACHE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), ".cache", "oracle_hashes.json")
 
 
+def _code_objects(code):
+    """``code`` and every code object nested in it (inner functions,
+    lambdas, comprehensions), depth first."""
+    yield code
+    for c in code.co_consts:
+        if hasattr(c, "co_code"):
+            yield from _code_objects(c)
+
+
+def _referenced_modules(fn) -> set[str]:
+    """Names of the modules ``fn`` reaches one level deep: the modules of
+    the globals its code (nested functions included) names, and every
+    module it imports inside a function body (``IMPORT_NAME``, plus
+    ``IMPORT_FROM`` names that are submodules), relative imports resolved
+    against ``fn``'s package."""
+    import dis
+    import importlib.util
+    mods = set()
+    g = getattr(fn, "__globals__", {})
+    package = (getattr(fn, "__module__", "") or "").rpartition(".")[0]
+    code = getattr(fn, "__code__", None)
+    for co in (_code_objects(code) if code is not None else ()):
+        for name in co.co_names:
+            obj = g.get(name)
+            mod = getattr(obj, "__module__", None) or (
+                obj.__name__ if hasattr(obj, "__file__") else None)
+            if mod:
+                mods.add(mod)
+        level, base = 0, None
+        for ins in dis.get_instructions(co):
+            if ins.opname == "LOAD_CONST" and isinstance(ins.argval, int):
+                level = ins.argval
+            elif ins.opname == "IMPORT_NAME":
+                try:
+                    base = importlib.util.resolve_name(
+                        "." * level + ins.argval, package)
+                except (ImportError, ValueError):
+                    base = None
+                if base:
+                    mods.add(base)
+            elif ins.opname == "IMPORT_FROM" and base:
+                sub = f"{base}.{ins.argval}"
+                try:
+                    if importlib.util.find_spec(sub) is not None:
+                        mods.add(sub)
+                except ImportError:     # a name, not a submodule
+                    pass
+    return mods
+
+
 def _query_hash(fn, sql: str | None) -> str:
     """sha256 of the query callable's source, its oracle SQL, and the file
-    contents of every capelinker_ray module referenced by the callable's
-    globals (one level deep — a heuristic dirty-bit, not a build system:
-    a deep-transitive edit can be missed, so full runs still gate rounds).
+    contents of every capelinker_ray module the callable reaches one level
+    deep (``_referenced_modules``: globals and function-body imports — a
+    heuristic dirty-bit, not a build system: a deep-transitive edit can be
+    missed, so full runs still gate rounds).
     """
     import hashlib
+    import importlib
     import inspect
     h = hashlib.sha256()
     try:
@@ -68,24 +120,17 @@ def _query_hash(fn, sql: str | None) -> str:
     except (OSError, TypeError):
         h.update(repr(fn).encode())
     h.update((sql or "").encode())
-    seen = set()
     own = getattr(fn, "__module__", "")
-    g = getattr(fn, "__globals__", {})
-    for name in getattr(getattr(fn, "__code__", None), "co_names", ()):
-        obj = g.get(name)
-        mod = getattr(obj, "__module__", None) or (
-            obj.__name__ if hasattr(obj, "__file__") else None)
+    for mod in sorted(_referenced_modules(fn)):
         # the defining module (queries.py) is excluded: the fn's own
         # source is already hashed, and hashing the whole registry file
-        # would invalidate all 130 queries on every new-query commit
-        if mod == own:
+        # would invalidate every query on every new-query commit
+        if mod == own or not mod.startswith("capelinker_ray"):
             continue
-        if mod and mod.startswith("capelinker_ray") and mod not in seen:
-            seen.add(mod)
-            mfile = getattr(sys.modules.get(mod), "__file__", None)
-            if mfile and os.path.exists(mfile):
-                with open(mfile, "rb") as f:
-                    h.update(f.read())
+        mfile = getattr(importlib.import_module(mod), "__file__", None)
+        if mfile and os.path.exists(mfile):
+            with open(mfile, "rb") as f:
+                h.update(f.read())
     return h.hexdigest()
 
 

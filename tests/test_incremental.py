@@ -122,3 +122,32 @@ def test_incremental_assign_rule_matches_duckdb(ray_session):
     oracle["matched"] = oracle["matched"].astype(np.bool_)
     pd.testing.assert_frame_equal(mine[sorted(mine.columns)],
                                   oracle[sorted(oracle.columns)])
+
+
+def test_assign_shuffle_join_parity(ray_session, monkeypatch):
+    """assign_to_entities' four joins give the same assignments whether
+    hash_join broadcasts their right sides (the default at this size) or
+    shuffles them (gate forced to 0 bytes)."""
+    from capelinker_ray.stages import join
+    turns, _ = synth.gen_corpus(n_entities=40, seed=17)
+    turns_pd = turns.to_pandas()
+    convs = sorted(turns_pd["conv_id"].unique())
+    held = convs[::5]
+    new_pd = turns_pd[turns_pd["conv_id"].isin(held)]
+    base_pd = turns_pd[~turns_pd["conv_id"].isin(held)]
+    base_out = link_transcripts(rd.from_pandas(base_pd),
+                                checkpoint_dir=None, sort_output=False)
+    records = base_out["records"].materialize()
+    entities = base_out["entities"].materialize()
+
+    def run():
+        res = assign_to_entities(rd.from_pandas(new_pd), records, entities)
+        return (res["assignments"].to_pandas()
+                .sort_values("conv_id").reset_index(drop=True))
+
+    a = run()
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    b = run()
+    pd.testing.assert_frame_equal(a, b)
+    assert sorted(a["conv_id"]) == held
+    assert a["matched"].any()

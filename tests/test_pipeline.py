@@ -137,34 +137,36 @@ def test_checkpoint_legacy_marker_not_trusted(ray_session, tmp_path):
         assert "param_hash" in json.load(f)
 
 
-def test_slim_broadcast_pair_path_matches_wide(ray_session):
-    """The slim-pairs + BroadcastFeaturizer flagship path must produce the
-    same scored feature rows as the wide attr-carrying path."""
+def test_link_transcripts_shuffle_join_parity(ray_session, monkeypatch):
+    """The flagship's joins (entity attach, per-turn output) give the same
+    entities and turns whether hash_join broadcasts its right side (the
+    default at this size) or shuffles it (gate forced to 0 bytes)."""
     from capelinker_ray import synth
     from capelinker_ray.pipelines.linkage import link_transcripts
+    from capelinker_ray.stages import join
     turns, _ = synth.gen_corpus(n_entities=60, seed=5)
-    common = dict(checkpoint_dir=None, sort_output=False)
-    slim = link_transcripts(rd.from_arrow(turns),
-                            broadcast_records_threshold=10**9, **common)
-    wide = link_transcripts(rd.from_arrow(turns),
-                            broadcast_records_threshold=0, **common)
-    from capelinker_ray.stages.features import TRANSCRIPT_FEATURES
-    cols = ["conv_id_from", "conv_id_to", "score"] + TRANSCRIPT_FEATURES
-    a = (slim["pairs"].to_pandas()[cols]
-         .sort_values(["conv_id_from", "conv_id_to"]).reset_index(drop=True))
-    b = (wide["pairs"].to_pandas()[cols]
-         .sort_values(["conv_id_from", "conv_id_to"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-    ea = slim["entities"].to_pandas().sort_values("conv_id").reset_index(drop=True)
-    eb = wide["entities"].to_pandas().sort_values("conv_id").reset_index(drop=True)
-    assert (ea["entity_id"].values == eb["entity_id"].values).all()
-    # regression guard: BOTH flagship paths pin SLIM pair tables — the
-    # per-side attribute columns are feature inputs, never downstream reads
+
+    def run():
+        out = link_transcripts(rd.from_arrow(turns), checkpoint_dir=None)
+        ents = (out["entities"].to_pandas().sort_values("conv_id")
+                .reset_index(drop=True))
+        tout = out["turns_out"].to_pandas().reset_index(drop=True)
+        return out, ents, tout
+
+    bcast, ents_b, tout_b = run()
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    shuf, ents_s, tout_s = run()
+    pd.testing.assert_frame_equal(ents_b, ents_s)
+    pd.testing.assert_frame_equal(tout_b, tout_s)
+    assert len(tout_b) == turns.num_rows
+    assert ents_b["entity_id"].notna().all()
+    assert tout_b["entity_id"].notna().all()
+    # regression guard: the flagship pins SLIM pair tables — the per-side
+    # attribute columns are feature inputs, never downstream reads
     # (carrying them tripled the materialized pair bytes at 14M pairs)
-    for out in (slim, wide):
-        names = set(out["pairs"].schema().names)
-        assert not any(n.endswith("_from") or n.endswith("_to")
-                       for n in names - {"conv_id_from", "conv_id_to"}), names
+    names = set(bcast["pairs"].schema().names)
+    assert not any(n.endswith("_from") or n.endswith("_to")
+                   for n in names - {"conv_id_from", "conv_id_to"}), names
 
 
 def test_link_transcripts_empty_corpus(ray_session):

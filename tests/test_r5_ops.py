@@ -265,6 +265,32 @@ def test_hive_partitioned_roundtrip_and_prune(ray_session, tmp_path):
     import pytest
     with pytest.raises(FileNotFoundError):
         read_hive(str(tmp_path), partition_filter={"lang": ["zz"]})
+    # a typo'd key must not silently read every partition
+    with pytest.raises(ValueError, match="lnag"):
+        read_hive(str(tmp_path), partition_filter={"lnag": ["en"]})
+
+
+def test_read_hive_never_walks_pruned_partitions(ray_session, tmp_path,
+                                                 monkeypatch):
+    from capelinker_ray.sources import io
+    df = pd.DataFrame({"lang": ["en", "fr"] * 10,
+                       "src": ["web", "web", "news", "news"] * 5,
+                       "doc_id": np.arange(20, dtype=np.int64)})
+    io.write_hive_partitioned(rd.from_pandas(df), str(tmp_path),
+                              ["lang", "src"])
+    import os
+    walked = []
+    real_walk = os.walk
+
+    def spy_walk(top, *a, **kw):
+        for root, dirs, files in real_walk(top, *a, **kw):
+            walked.append(os.path.relpath(root, top))
+            yield root, dirs, files
+    monkeypatch.setattr(os, "walk", spy_walk)
+    out = io.read_hive(str(tmp_path),
+                       partition_filter={"lang": "en", "src": ["web"]})
+    assert sorted(out.to_pandas()["doc_id"]) == list(range(0, 20, 4))
+    assert not any("lang=fr" in w or "src=news" in w for w in walked), walked
 
 
 def test_canonicalize_for_dedup_folds_trivial_variants(ray_session):
@@ -281,6 +307,34 @@ def test_canonicalize_for_dedup_folds_trivial_variants(ray_session):
     assert out.loc[3, "text_canon"] == "entirely different document"
     assert out.loc[4, "text_canon"] == ""
     assert out.loc[1, "text"] == "Breaking News: 1,234 views!!"  # preserved
+
+
+def test_dedup_canonical_oracle_matches_engine(ray_session):
+    """The dedup_canonical DuckDB twin and the engine agree on a frame
+    that has ASCII punctuation (brackets and backslash included), digit
+    runs with separators and upper case — sf0.01 documents have none, so
+    the registry oracle alone cannot catch a divergent class."""
+    import duckdb
+    from capelinker_ray.pipelines.queries import sql_dedup_canonical
+    from capelinker_ray.stages.dedup import exact_dedup
+    from capelinker_ray.stages.normalize import canonicalize_for_dedup
+    documents = pd.DataFrame({
+        "doc_id": np.arange(1, 9, dtype=np.int64),
+        "text": ["hello, world! [a] b\\c", "HELLO world a b c",
+                 "Views: 1,234.5 (today)", "views 99 today",
+                 "x]y[z", "X Y Z", "a{b}|c~d", None]})
+    engine = exact_dedup(
+        canonicalize_for_dedup(rd.from_pandas(documents))
+        .select_columns(["doc_id", "text_canon"]),
+        key_col="text_canon", id_col="doc_id").to_pandas()
+    oracle = duckdb.connect().execute(sql_dedup_canonical("")).fetchdf()
+
+    def rows(df):
+        return sorted(zip(df["text_canon"], df["keep_doc_id"].astype(int)))
+    assert rows(engine) == rows(oracle)
+    assert rows(engine) == [("", 8), ("a b c d", 7),
+                            ("hello world a b c", 1), ("views 0 today", 3),
+                            ("x y z", 5)]
 
 
 def test_add_script_stats_composition(ray_session):
