@@ -6,14 +6,15 @@ data_raw/pretrained.R:489-513). No xgboost/sklearn exists in this
 environment, so both ensemble types are reimplemented in numpy (trees.py)
 with xgboost-compatible hyperparameters and NaN default-direction handling,
 frozen to JSON artifacts that embed ``feature_names`` (the registry contract,
-SURVEY §2.6), and scored inside Ray actor pools (scorer.py).
+SURVEY §2.6), and scored by one stateless ``map_batches`` stage
+(scorer.py).
 """
 
 from .trees import GBTClassifier, RandomForest, load_artifact, save_artifact
-from .scorer import MatchScorer, score_pairs
+from .scorer import score_pairs
 from .registry import pretrained_models, artifact_path
 
 __all__ = [
     "GBTClassifier", "RandomForest", "load_artifact", "save_artifact",
-    "MatchScorer", "score_pairs", "pretrained_models", "artifact_path",
+    "score_pairs", "pretrained_models", "artifact_path",
 ]

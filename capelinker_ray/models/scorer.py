@@ -1,12 +1,12 @@
-"""Actor-pool pair scoring — the Ray graft of ``predict_links`` scoring.
+"""Pair scoring — the Ray graft of ``predict_links`` scoring.
 
 The reference fetches a pretrained model by name and scores every candidate
-row in-process (/root/reference/R/pred.R:40-45). Here scoring is a stateful
-``map_batches`` stage: ``MatchScorer`` is a callable CLASS — the frozen
-artifact is deserialized ONCE per actor in ``__init__`` (load-once state,
-SURVEY §2.6) and each ``__call__`` builds the feature matrix from the
-artifact's own ``feature_names`` (the registry contract: models introspect
-their required features, data_raw/pretrained.R:489-508) and appends ``pred``.
+row in-process (reference R/pred.R:40-45). Here scoring is one
+stateless ``map_batches`` stage: the frozen artifact is resolved once on
+the driver and shipped inside the batch function, and each batch builds
+the feature matrix from the artifact's own ``feature_names`` (the registry
+contract: models introspect their required features,
+data_raw/pretrained.R:489-508) and appends ``pred``.
 
 Wide pair rows are NOT shipped through the scorer redundantly: callers may
 ``select_columns`` down to ids + features first (SURVEY §7 hard part f).
@@ -20,7 +20,7 @@ import pyarrow as pa
 from .registry import resolve_artifact
 from .trees import predict_ensemble
 
-__all__ = ["MatchScorer", "score_pairs", "feature_matrix"]
+__all__ = ["score_pairs", "feature_matrix"]
 
 
 def feature_matrix(t: pa.Table, feature_names: list[str]) -> np.ndarray:
@@ -48,78 +48,22 @@ def feature_matrix(t: pa.Table, feature_names: list[str]) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
-class MatchScorer:
-    """map_batches(MatchScorer, fn_constructor_kwargs={'model': name},
-    concurrency=N) — one artifact load per actor."""
-
-    def __init__(self, model: str):
-        self.artifact = resolve_artifact(model)
-        self.feature_names = self.artifact["feature_names"]
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        X = feature_matrix(t, self.feature_names)
-        pred = predict_ensemble(self.artifact, X)
-        return t.append_column("pred", pa.array(pred, pa.float64()))
-
-
-def _artifact_nbytes(model) -> int | None:
-    """Cheap size estimate for the auto actor/task decision: file size for
-    named/path artifacts, ndarray+buffer sum for loaded dicts, None if
-    unknowable (e.g. a registry name that still needs the reference-model
-    import)."""
-    import os
-    if isinstance(model, dict):
-        total = 0
-        stack = [model]
-        while stack:
-            o = stack.pop()
-            if isinstance(o, dict):
-                stack.extend(o.values())
-            elif isinstance(o, (list, tuple)):
-                stack.extend(o)
-            elif isinstance(o, np.ndarray):
-                total += o.nbytes
-            elif isinstance(o, (str, bytes)):
-                total += len(o)
-        return total
-    from .registry import artifact_path
-    p = model if os.path.exists(str(model)) else artifact_path(model)
-    return os.path.getsize(p) if os.path.exists(p) else None
-
-
-def score_pairs(ds_pairs, model, concurrency=(1, 8),
-                batch_size: int | None = None, num_cpus: float = 1.0,
-                mode: str = "auto",
-                actor_threshold_bytes: int = 32 << 20):
+def score_pairs(ds_pairs, model, batch_size: int | None = None):
     """Dataset[pairs+features] -> + ``pred`` column.
 
-    ``mode="actor"``: the classic actor pool (load-once per actor) — the
-    right shape when artifact deserialization is expensive (large
-    ensembles, external models). ``mode="task"``: a plain stateless
-    ``map_batches`` function that resolves the artifact through the
-    per-worker-process registry cache — load-once-per-PROCESS semantics
-    with ZERO pool spin-up, reusing the already-warm Ray worker pool
-    (measured: the (1,16) actor pool costs ~6 s of cold-start on a 4k-pair
-    run whose model loads in <1 ms). ``mode="auto"`` picks task for
-    artifacts under ``actor_threshold_bytes`` and actor otherwise."""
-    if mode == "auto":
-        size = _artifact_nbytes(model)
-        mode = ("task" if size is not None
-                and size <= actor_threshold_bytes else "actor")
-    if mode == "task":
-        def score_batch(t: pa.Table) -> pa.Table:
-            art = resolve_artifact(model)      # per-process registry cache
-            X = feature_matrix(t, art["feature_names"])
-            pred = predict_ensemble(art, X)
-            return t.append_column("pred", pa.array(pred, pa.float64()))
-        return ds_pairs.map_batches(score_batch, batch_size=batch_size,
-                                    num_cpus=num_cpus,
-                                    batch_format="pyarrow")
-    return ds_pairs.map_batches(
-        MatchScorer,
-        fn_constructor_kwargs={"model": model},
-        concurrency=concurrency,
-        batch_size=batch_size,
-        num_cpus=num_cpus,
-        batch_format="pyarrow",
-    )
+    ``model`` is a registry name, a JSON artifact path or a loaded dict.
+    It is resolved ONCE here on the driver (an unknown name raises
+    ``KeyError`` before any task runs), and the stateless batch function
+    closes over the artifact: each task unpickles it with the function,
+    which costs less than re-parsing a JSON path per batch and has no
+    pool spin-up (measured: a (1,16) actor pool cost ~6 s of cold start
+    on a 4k-pair run whose model loads in <1 ms)."""
+    art = resolve_artifact(model)
+    feature_names = art["feature_names"]
+
+    def score_batch(t: pa.Table) -> pa.Table:
+        X = feature_matrix(t, feature_names)
+        pred = predict_ensemble(art, X)
+        return t.append_column("pred", pa.array(pred, pa.float64()))
+    return ds_pairs.map_batches(score_batch, batch_size=batch_size,
+                                batch_format="pyarrow")

@@ -13,7 +13,7 @@ bagged regression forest voting P(match).
 
 Exact greedy split finding, vectorized per feature over sorted prefix sums;
 fine for ≤1e6 × ~16 training matrices. Inference is array-based level-wise
-traversal (predict_ensemble) — the same code path the Ray scorer actor uses
+traversal (predict_ensemble) — the same code path the Ray scorer uses
 per batch, no Python loop over rows.
 
 Artifacts are frozen to JSON: feature_names + flat node arrays per tree.

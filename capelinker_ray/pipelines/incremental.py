@@ -24,9 +24,9 @@ record that matches two DIFFERENT base entities joins the min-id one only
 base entities is a
 full re-link, not an incremental step.
 
-Every stage is a Dataset transform — candidate shuffle, actor-pool scorer,
-grouped-rank selection, hash joins — so the batch size can be a full day's
-corpus. The base side ships only ``PAIR_ATTR_COLS`` + block key.
+Every stage is a Dataset transform — candidate shuffle, stateless model
+scorer, grouped-rank selection, hash joins — so the batch size can be a
+full day's corpus. The base side ships only ``PAIR_ATTR_COLS`` + block key.
 """
 
 from __future__ import annotations
@@ -65,23 +65,6 @@ def _pin_link_schema(ds, with_rank: bool):
     return rd.from_arrow(pa.table(cols))
 
 
-def _score_select(pairs, model, minimum_confidence, linktype, concurrency,
-                  score_fn=None):
-    if score_fn is not None:
-        # rule mode: pred computed directly from the pair attr columns
-        # (SQL-expressible — the driver's value-exact oracle path)
-        scored = pairs.map_batches(score_fn, batch_format="pandas")
-    else:
-        scored = score_pairs(
-            pairs.select_columns(
-                ["conv_id_from", "conv_id_to"] + TRANSCRIPT_FEATURES),
-            model, concurrency=concurrency)
-    return select_links(scored, id_from="conv_id_from",
-                        id_to="conv_id_to", pred_col="pred",
-                        minimum_confidence=minimum_confidence,
-                        linktype=linktype, tie_break="deterministic")
-
-
 def assign_to_entities(new_turns, base_records, base_entities, *,
                        model: str = "m_boost_transcripts",
                        minimum_confidence: float = 0.5,
@@ -89,7 +72,6 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
                        block_prefix_len: int | None = None,
                        max_block_pairs: int = DEFAULT_MAX_BLOCK_PAIRS,
                        link_within_batch: bool = True,
-                       input_partitions: int | str | None = "auto",
                        checkpoint_dir: str | None = None,
                        score_fn=None, attr_cols: list[str] | None = None,
                        ) -> dict:
@@ -107,7 +89,7 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
     root, each stage is pinned via ``materialize()`` so the conv-record
     build runs once, not once per consumer.
 
-    ``score_fn`` switches the pair scorer from the GBT actor pool to a
+    ``score_fn`` switches the pair scorer from the GBT model to a
     deterministic rule: a pandas batch fn over the candidate pairs (with
     ``attr_cols`` _from/_to attributes) returning
     ``(conv_id_from, conv_id_to, pred)``; rows it scores NaN are dropped
@@ -124,10 +106,9 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
     from .checkpoint import CheckpointManager
     ck = CheckpointManager(checkpoint_dir)
 
-    if input_partitions:
-        if input_partitions == "auto":
-            input_partitions = default_partitions()
-        new_turns = new_turns.repartition(input_partitions)
+    # one small file is ONE block: spread it so the map stages run in
+    # parallel (the same repartition link_transcripts makes)
+    new_turns = new_turns.repartition(default_partitions())
 
     from ..stages.conv_records import BLOCK_PREFIX_LEN
     if block_prefix_len is None:
@@ -138,7 +119,6 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
                                    prefix_len=block_prefix_len),
         inputs=("new_turns",), params={"prefix_len": block_prefix_len})
 
-    scorer_pool = (1, max(8, default_partitions() // 2))
     if attr_cols is None:
         attr_cols = PAIR_ATTR_COLS
     pair_params = {"blocktype": blocktype, "maxdist": maxdist,
@@ -147,20 +127,33 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
                    "rule_scored": score_fn is not None,
                    "attr_cols": tuple(attr_cols)}
 
-    # -- new vs base: rank-1 per NEW conversation above confidence --------
-    def build_links_nb():
-        nb_pairs = candidates(
-            records, base_records, block_col="block_key", id_col="conv_id",
+    def build_links(base, linktype):
+        """Candidates new -> ``base`` (None: new -> new), scored, then
+        selected under ``linktype``."""
+        pairs = candidates(
+            records, base, block_col="block_key", id_col="conv_id",
             blocktype=blocktype, maxdist=maxdist, attr_cols=attr_cols,
             max_block_pairs=max_block_pairs, keep_unmatched=False)
-        if score_fn is None:
-            nb_pairs = add_pair_features(
-                nb_pairs.repartition(4 * default_partitions()))
-        return _score_select(nb_pairs, model, minimum_confidence,
-                             "many:one", scorer_pool, score_fn)
+        if score_fn is not None:
+            # rule mode: pred computed directly from the pair attr columns
+            # (SQL-expressible — the driver's value-exact oracle path)
+            scored = pairs.map_batches(score_fn, batch_format="pandas")
+        else:
+            pairs = add_pair_features(
+                pairs.repartition(4 * default_partitions()))
+            scored = score_pairs(
+                pairs.select_columns(
+                    ["conv_id_from", "conv_id_to"] + TRANSCRIPT_FEATURES),
+                model)
+        return select_links(scored, id_from="conv_id_from",
+                            id_to="conv_id_to", pred_col="pred",
+                            minimum_confidence=minimum_confidence,
+                            linktype=linktype, tie_break="deterministic")
 
+    # -- new vs base: rank-1 per NEW conversation above confidence --------
     links_nb = _pin_link_schema(
-        ck.stage("inc_links_nb", build_links_nb,
+        ck.stage("inc_links_nb",
+                 lambda: build_links(base_records, "many:one"),
                  inputs=("inc_records",), params=pair_params),
         with_rank=True)
 
@@ -172,20 +165,8 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
 
     # -- within-batch link graph ------------------------------------------
     if link_within_batch:
-        def build_links_ww():
-            ww_pairs = candidates(
-                records, None, block_col="block_key", id_col="conv_id",
-                blocktype=blocktype, maxdist=maxdist,
-                attr_cols=attr_cols, max_block_pairs=max_block_pairs,
-                keep_unmatched=False)
-            if score_fn is None:
-                ww_pairs = add_pair_features(
-                    ww_pairs.repartition(4 * default_partitions()))
-            return _score_select(ww_pairs, model, minimum_confidence,
-                                 "threshold", scorer_pool, score_fn)
-
         links_ww = _pin_link_schema(
-            ck.stage("inc_links_ww", build_links_ww,
+            ck.stage("inc_links_ww", lambda: build_links(None, "threshold"),
                      inputs=("inc_records",), params=pair_params),
             with_rank=False)
         # small: one row per LINKED new conv; pin so count()+reuse is one run

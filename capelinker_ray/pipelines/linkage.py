@@ -10,7 +10,7 @@ Reference lifecycle (vignettes/example.rmd): load -> preflight -> candidates
     -> candidates: groupby(block_key), salted       [stages/blocking.py]
     -> map_batches(pair features)                   [stages/features.py]
     -> project to ids+features                      [SURVEY §7 hard part f]
-    -> map_batches(MatchScorer actor pool)          [models/scorer.py]
+    -> map_batches(stateless model scorer)          [models/scorer.py]
     -> grouped-rank selection (1-2 shuffles)        [stages/selection.py]
     -> connected components (iterative)             [stages/cluster.py]
     -> entity table + (conv_id, turn_idx)-sorted turn output
@@ -26,6 +26,7 @@ from ..stages.blocking import DEFAULT_MAX_BLOCK_PAIRS, candidates
 from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records, collect_tool_vocab
 from ..stages.features import TRANSCRIPT_FEATURES, add_pair_features
+from ..stages.grouped import default_partitions
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
@@ -49,9 +50,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
                      blocktype: str = "equality", maxdist: float = 0.15,
                      block_prefix_len: int | None = None,
                      max_block_pairs: int = DEFAULT_MAX_BLOCK_PAIRS,
-                     scorer_concurrency=None,
-                     sort_output: bool = True,
-                     input_partitions: int | str | None = "auto") -> dict:
+                     sort_output: bool = True) -> dict:
     """Self-link (dedup) a transcript corpus into entity clusters.
 
     ``blocktype``: "equality" (default — exact block_key match),
@@ -82,19 +81,13 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
     # ~10 distinct tool names (measured: conv_records' non-scaling share)
     ds_raw_turns = ds_turns
 
-    if input_partitions:
-        # a small input (one parquet file = ONE block) would otherwise run
-        # every map stage in a single sequential task; at 100-TB scale the
-        # read already yields thousands of blocks — pass None to skip.
-        # Measured (4.6M turns, 32 files, 8 cpus): KEEPING this even for
-        # many-file reads is ~9 s faster per run — the repartition decouples
-        # the parquet scan from the heavy normalize+partials map, and its
-        # cost is below the fusion's scan-blocked slot idle. Width barely
-        # matters (16/32/64 within 1 s).
-        if input_partitions == "auto":
-            from ..stages.grouped import default_partitions
-            input_partitions = default_partitions()
-        ds_turns = ds_turns.repartition(input_partitions)
+    # a small input (one parquet file = ONE block) would otherwise run
+    # every map stage in a single sequential task. Measured (4.6M turns,
+    # 32 files, 8 cpus): the repartition is ~9 s faster per run even for
+    # many-file reads — it decouples the parquet scan from the heavy
+    # normalize+partials map, and its cost is below the fusion's
+    # scan-blocked slot idle. Width barely matters (16/32/64 within 1 s).
+    ds_turns = ds_turns.repartition(default_partitions())
 
     from ..stages.conv_records import BLOCK_PREFIX_LEN
     if block_prefix_len is None:
@@ -121,7 +114,6 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
                    "attr_cols": PAIR_ATTR_COLS}
 
     def build_pairs():
-        from ..stages.grouped import default_partitions
         if blocktype in ("bigram_global", "idf_bigram_global"):
             # the reference's DEFAULT blocking: corpus-wide bigram cosine
             # on the normalized first-turn prefix, NO pre-block
@@ -168,18 +160,12 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
     pairs = ck.stage("candidate_pairs", build_pairs, inputs=("conv_records",),
                      params=pair_params)
 
-    if scorer_concurrency is None:
-        # actor pool sized to the session — a fixed small pool throttles
-        # scoring on big machines/clusters
-        from ..stages.grouped import default_partitions
-        scorer_concurrency = (1, max(8, default_partitions() // 2))
-
     scored = ck.stage(
         "scored_pairs",
         lambda: score_pairs(
             pairs.select_columns(
                 ["conv_id_from", "conv_id_to"] + TRANSCRIPT_FEATURES),
-            model, concurrency=scorer_concurrency),
+            model),
         inputs=("candidate_pairs",), params={"model": model}, stream=True)
 
     def build_links():
@@ -187,7 +173,6 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
         # metadata-cheap): a few-thousand-pair run stops paying two
         # cluster-wide sort barriers; 100-TB pair tables widen to the
         # session default
-        from ..stages.grouped import default_partitions
         width = max(4, min(-(-pairs.count() // 250_000),
                            default_partitions()))
         # tie_break pinned: tree scores tie exactly all the time, and the

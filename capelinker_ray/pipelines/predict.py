@@ -4,7 +4,7 @@ Parity with /root/reference/R/pred.R:27-57: fetch a pretrained model by
 name, score every candidate pair, rank per id with R's average-tie
 semantics, and keep rank-1 pairs above ``minimum_confidence`` (both sides
 rank 1 for ``one:one``). Composed from the engine's distributed stages:
-actor-pool scoring (models/scorer.py) + grouped rank selection
+stateless batch scoring (models/scorer.py) + grouped rank selection
 (stages/selection.py) — the reference's in-process loop re-expressed as
 two Ray stages.
 """
@@ -22,7 +22,7 @@ def predict_links(ds_candidates, *, id_from: str, id_to: str,
                   minimum_confidence: float = 0.5,
                   linktype: str = "one:one",
                   carry_cols: list[str] | None = None,
-                  concurrency=(1, 8), batch_size: int | None = None):
+                  batch_size: int | None = None):
     """Dataset[candidate pairs + feature columns] -> Dataset[accepted
     links] (id_from, id_to, pred, rank columns, carry_cols).
 
@@ -32,8 +32,7 @@ def predict_links(ds_candidates, *, id_from: str, id_to: str,
     columns feed NaN into the trees (learned-default routing), exactly as
     the reference's xgboost path.
     """
-    scored = score_pairs(ds_candidates, model, concurrency=concurrency,
-                         batch_size=batch_size)
+    scored = score_pairs(ds_candidates, model, batch_size=batch_size)
     return select_links(scored, id_from=id_from, id_to=id_to,
                         pred_col="pred",
                         minimum_confidence=minimum_confidence,

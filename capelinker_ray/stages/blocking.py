@@ -193,10 +193,6 @@ def _pairs_fn(block_col: str, id_col: str, blocktype: str, maxdist: float,
             fi = np.array([], dtype=np.int64)
             ti = np.array([], dtype=np.int64)
             score = np.array([], dtype=np.float64)
-        elif blocktype == "equality":
-            fi = np.repeat(np.arange(nf), nt)
-            ti = np.tile(np.arange(nt), nf)
-            score = np.ones(nf * nt, dtype=np.float64)
         elif blocktype == "bigram":
             sim = bigram_cosine_matrix(fdf["_blockvar"].to_numpy(object),
                                        tdf["_blockvar"].to_numpy(object), idf=idf)

@@ -103,6 +103,53 @@ def test_predict_links_with_reference_model(ray_session):
     assert (out["pred"] > 0.5).all()
 
 
+def test_predict_links_matches_pandas_average_rank(ray_session, tmp_path):
+    """predict_links with a test-trained artifact equals pandas scoring
+    plus R's average-tie one:one selection (pred.R:47-54): a tied best
+    pair ranks 1.5 and is dropped, and a rank-1 pair must clear the
+    confidence bar."""
+    from capelinker_ray.models.trees import (GBTClassifier,
+                                             predict_ensemble, save_artifact)
+    from capelinker_ray.pipelines.predict import predict_links
+    rng = np.random.default_rng(11)
+    feats = ["f0", "f1", "f2"]
+    X = rng.normal(size=(400, 3))
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float)
+    m = GBTClassifier(n_rounds=15, seed=1, early_stopping_rounds=None)
+    m.fit(X, y, feature_names=feats)
+    path = str(tmp_path / "m.json")
+    save_artifact(m.artifact(), path)
+
+    n = 60
+    cand = pd.DataFrame(rng.normal(size=(n, 3)), columns=feats)
+    cand["pid_from"] = [f"a{i % 12}" for i in range(n)]
+    cand["pid_to"] = [f"b{i % 9}" for i in range(n)]
+    # a0's best pair is an exact tie on two fresh to-ids
+    best = X[np.argmax(m.predict_proba(X))]
+    tie = pd.DataFrame([best, best], columns=feats)
+    tie["pid_from"] = "a0"
+    tie["pid_to"] = ["t1", "t2"]
+    cand = pd.concat([cand, tie], ignore_index=True)
+
+    ref = cand.copy()
+    ref["pred"] = predict_ensemble(m.artifact(), ref[feats].to_numpy())
+    for side in ("from", "to"):
+        ref[f"rank_{side}"] = ref.groupby(f"pid_{side}")["pred"].rank(
+            ascending=False, method="average")
+    ref = ref[(ref["rank_from"] == 1) & (ref["rank_to"] == 1)
+              & (ref["pred"] > 0.5)]
+    assert len(ref) and not (ref["pid_from"] == "a0").any()
+
+    out = predict_links(rd.from_pandas(cand).repartition(3),
+                        id_from="pid_from", id_to="pid_to", model=path,
+                        minimum_confidence=0.5,
+                        linktype="one:one").to_pandas()
+    got = out.set_index(["pid_from", "pid_to"])["pred"].sort_index()
+    want = ref.set_index(["pid_from", "pid_to"])["pred"].sort_index()
+    assert list(got.index) == list(want.index)
+    np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-12)
+
+
 def test_curate_distributed_ledger_parity(ray_session, monkeypatch):
     """A 0-byte broadcast gate forces hash_join's shuffle anti-join
     (removal ids never collected driver-side); output must match the

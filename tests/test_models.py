@@ -1,5 +1,5 @@
 """Tree-ensemble oracles: separable fits, NaN default-direction routing,
-artifact round-trip, actor-pool scoring (SURVEY §2.6)."""
+artifact round-trip, distributed scoring (SURVEY §2.6)."""
 
 import os
 
@@ -12,7 +12,7 @@ from capelinker_ray.models.trees import (
     GBTClassifier, RandomForest, load_artifact, predict_ensemble,
     save_artifact,
 )
-from capelinker_ray.models.scorer import MatchScorer, score_pairs
+from capelinker_ray.models.scorer import score_pairs
 
 
 def _toy(n=800, seed=0, nan_frac=0.0):
@@ -75,17 +75,34 @@ def test_pretrained_registry_exists():
     assert art["feature_names"]  # registry contract: model knows its features
 
 
-def test_scorer_actor_pool(ray_session, tmp_path):
+def test_score_pairs_parity_all_model_forms(ray_session, tmp_path):
+    """Registry name, JSON path and loaded dict all score exactly as
+    predict_ensemble does on the driver, row for row."""
+    from capelinker_ray.models.registry import resolve_artifact
+    rng = np.random.default_rng(5)
+    named = resolve_artifact("m_boost_transcripts")
+    Xn = rng.random((300, len(named["feature_names"])))
     X, y = _toy(n=300, seed=5)
     m = GBTClassifier(n_rounds=15, seed=1, early_stopping_rounds=None)
     m.fit(X, y, feature_names=["f0", "f1", "f2", "f3"])
     path = str(tmp_path / "m.json")
     save_artifact(m.artifact(), path)
-    df = pd.DataFrame(X, columns=["f0", "f1", "f2", "f3"])
-    ds = rd.from_pandas(df)
-    out = score_pairs(ds, path, concurrency=(1, 2), batch_size=64).to_pandas()
-    np.testing.assert_allclose(np.sort(out["pred"].to_numpy()),
-                               np.sort(m.predict_proba(X)), rtol=1e-12)
+    cases = [("m_boost_transcripts", named, Xn),
+             (path, load_artifact(path), X),
+             (m.artifact(), m.artifact(), X)]
+    for model, art, feats in cases:
+        df = pd.DataFrame(feats, columns=art["feature_names"])
+        df["row"] = np.arange(len(df))
+        out = score_pairs(rd.from_pandas(df).repartition(4), model,
+                          batch_size=64).to_pandas().sort_values("row")
+        np.testing.assert_allclose(out["pred"].to_numpy(),
+                                   predict_ensemble(art, feats), rtol=1e-12)
+
+
+def test_score_pairs_unknown_model_raises_on_call(ray_session):
+    ds = rd.from_pandas(pd.DataFrame({"f0": [0.1, 0.2]}))
+    with pytest.raises(KeyError, match="no_such_model"):
+        score_pairs(ds, "no_such_model")
 
 
 def test_scorer_missing_feature_routes_default(ray_session, tmp_path):
