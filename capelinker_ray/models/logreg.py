@@ -91,8 +91,7 @@ def fit_logreg(ds, feature_cols, label_col: str, *, epochs: int = 30,
     return LogRegModel(feature_cols, w, float(b), mean, scale)
 
 
-def predict_logreg(ds, model: LogRegModel, *, out_col: str = "prob",
-                   batch_size: int | None = None):
+def predict_logreg(ds, model: LogRegModel, *, out_col: str = "prob"):
     """Add ``out_col`` = P(label=1) per row — one stateless vectorized
     pass; the model rides the object store once."""
     ref = ray.put((np.asarray(model.weights, np.float64), model.bias,
@@ -107,5 +106,4 @@ def predict_logreg(ds, model: LogRegModel, *, out_col: str = "prob",
         df[out_col] = 1.0 / (1.0 + np.exp(-(X @ w + b)))
         return df
 
-    return ds.map_batches(score, batch_format="pandas",
-                          batch_size=batch_size)
+    return ds.map_batches(score, batch_format="pandas")

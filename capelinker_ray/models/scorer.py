@@ -48,7 +48,7 @@ def feature_matrix(t: pa.Table, feature_names: list[str]) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
-def score_pairs(ds_pairs, model, batch_size: int | None = None):
+def score_pairs(ds_pairs, model):
     """Dataset[pairs+features] -> + ``pred`` column.
 
     ``model`` is a registry name, a JSON artifact path or a loaded dict.
@@ -65,5 +65,4 @@ def score_pairs(ds_pairs, model, batch_size: int | None = None):
         X = feature_matrix(t, feature_names)
         pred = predict_ensemble(art, X)
         return t.append_column("pred", pa.array(pred, pa.float64()))
-    return ds_pairs.map_batches(score_batch, batch_size=batch_size,
-                                batch_format="pyarrow")
+    return ds_pairs.map_batches(score_batch, batch_format="pyarrow")

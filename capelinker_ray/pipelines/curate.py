@@ -343,7 +343,7 @@ def curate_documents(ds, *, text_col: str = "text", id_col: str = "doc_id",
         survivors = _pin("survivors_segscrub", segment_dedup(
             survivors, text_col=text_col, id_col=id_col,
             words_per_seg=words_per_seg, max_count=seg_max_count,
-            input_partitions=None, replace_text=True))
+            replace_text=True))
         agg = survivors.aggregate(Sum("n_removed", alias_name="s"))
         n_segments_removed = int(agg["s"] or 0)
 

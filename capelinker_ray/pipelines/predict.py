@@ -21,8 +21,7 @@ def predict_links(ds_candidates, *, id_from: str, id_to: str,
                   model: str = "m_rf_baptisms_full",
                   minimum_confidence: float = 0.5,
                   linktype: str = "one:one",
-                  carry_cols: list[str] | None = None,
-                  batch_size: int | None = None):
+                  carry_cols: list[str] | None = None):
     """Dataset[candidate pairs + feature columns] -> Dataset[accepted
     links] (id_from, id_to, pred, rank columns, carry_cols).
 
@@ -32,7 +31,7 @@ def predict_links(ds_candidates, *, id_from: str, id_to: str,
     columns feed NaN into the trees (learned-default routing), exactly as
     the reference's xgboost path.
     """
-    scored = score_pairs(ds_candidates, model, batch_size=batch_size)
+    scored = score_pairs(ds_candidates, model)
     return select_links(scored, id_from=id_from, id_to=id_to,
                         pred_col="pred",
                         minimum_confidence=minimum_confidence,

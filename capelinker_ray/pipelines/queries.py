@@ -3537,7 +3537,7 @@ def q_sketch_stats(sf_dir: str):
 
 def q_media_features(sf_dir: str):
     media = rd.from_arrow(fake_media_table(n=64, seed=3))
-    out = featurize_media(media, fake=True, concurrency=(1, 2))
+    out = featurize_media(media, fake=True)
     return out.select_columns(["media_id", "media_type", "n_bytes",
                                "media_features"])
 

@@ -405,7 +405,8 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
     if blocktype in ("bigram", "stringdist") and "_blockvar" not in attr_cols:
         attr_cols = attr_cols + ["_blockvar"]
 
-    from .grouped import default_partitions, grouped_map
+    from .grouped import (HASH_SHUFFLE_MIN_ROWS, default_partitions,
+                          grouped_map)
     fn = _pairs_fn(block_col, id_col, blocktype, maxdist, attr_cols,
                    keep_unmatched, self_link, jw_variant=jw_variant,
                    idf=idf)
@@ -418,13 +419,14 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
     # Large corpora route through the ONE-exchange hash shuffle: the sort
     # path's repartition+sort is two all-to-alls whose barrier waits left
     # 22-27% of the slots idle on the 4.6M-turn scaling corpus (measured
-    # 8-cpu leg 171-189 s sort vs 163 s hash, identical pairs); below the
-    # threshold the hash aggregator-pool setup (~1.5 s fixed) outweighs
-    # the saved barrier.
+    # 8-cpu leg 171-189 s sort vs 163 s hash, identical pairs); up to
+    # HASH_SHUFFLE_MIN_ROWS the hash aggregator-pool setup (~1.5 s fixed)
+    # outweighs the saved barrier.
     n_tagged = tagged.count()        # tagged is materialized above
     pairs = grouped_map(salted, [block_col, "_salt"], fn,
                         num_partitions=min(4 * default_partitions(), 1024),
-                        shuffle="hash" if n_tagged > 300_000 else None)
+                        shuffle=("hash" if n_tagged > HASH_SHUFFLE_MIN_ROWS
+                                 else "sort"))
     if blocktype in ("bigram", "stringdist"):
         pairs = pairs.drop_columns(["_blockvar_from", "_blockvar_to"])
     return pairs

@@ -6,11 +6,13 @@ index_candidate) columns; repeated rounds of linking + expand_index converge
 to connected components. Here:
 
   * ``connected_components`` — the engine op: accepted links (id_from,
-    id_to) -> (node, entity_id) via iterative hash-min label propagation
-    (each node adopts the min label in its neighborhood; iterate to
-    fixpoint). Every iteration is ONE hash shuffle of the (node, label)
-    table (edges are pre-partitioned by src once); convergence is detected
-    with a changed-count aggregate, no wall-clock reads. Iterations ~
+    id_to) -> (node, entity_id). Edge lists up to ``DRIVER_EDGE_MAX``
+    close in a driver-side vectorized union-find; larger ones run
+    iterative hash-min label propagation (each node adopts the min label
+    in its neighborhood; iterate to fixpoint). Every iteration is ONE
+    hash shuffle of the (node, label) table (edges are pre-partitioned
+    by src once); convergence is detected with a changed-count
+    aggregate, no wall-clock reads. Iterations ~
     graph diameter — link graphs here are small star-ish families, so 2-3
     rounds; the hash-min scheme is the standard scalable CC on Ray-style
     shuffles (cf. PAPERS.md BTS/large-star-small-star for the adversarial
@@ -34,9 +36,12 @@ __all__ = ["connected_components", "expand_index", "attach_entity_ids",
 
 _HM = np.uint64(0x9E3779B97F4A7C15)      # odd → bijective mod 2^64
 
-# connected_components(strategy="auto") closes edge lists up to this size
-# on the driver, larger ones with the distributed iteration
+# connected_components closes edge lists up to this size on the driver,
+# larger ones with the distributed iteration
 DRIVER_EDGE_MAX = 5_000_000
+# round cap of the distributed iteration (pointer doubling converges in
+# O(log diameter) rounds)
+_MAX_ROUNDS = 50
 
 
 def _rowhash_utf8(arr) -> np.ndarray:
@@ -133,35 +138,27 @@ def _union_find_local(a_ids, b_ids):
 
 
 def connected_components(ds_links, *, id_from: str = "conv_id_from",
-                         id_to: str = "conv_id_to",
-                         max_iterations: int = 50,
-                         strategy: str = "auto",
-                         num_partitions: int | None = None):
+                         id_to: str = "conv_id_to"):
     """Dataset[links] -> Dataset[(node:str, entity_id:str)].
 
     entity_id = lexicographic-min node id of the component (deterministic,
     coordination-free — no global counter at 100 TB).
 
-    ``strategy``: "auto" uses the DRIVER-SIDE union-find when the edge list
-    has at most ``DRIVER_EDGE_MAX`` edges (links ≪ records for a linkage
-    graph — (src,dst) id pairs for 5M edges are ~200 MB, trivially
-    collectable; the cluster-scale cost lives in producing the links, not
-    closing them), else the distributed
-    hash-min + pointer-doubling iteration. "distributed" forces the
-    iterative path (exercised by tests); "driver" forces the local path.
+    An edge list of at most ``DRIVER_EDGE_MAX`` edges closes in a
+    DRIVER-SIDE union-find (links ≪ records for a linkage graph —
+    (src,dst) id pairs for 5M edges are ~200 MB, trivially collectable;
+    the cluster-scale cost lives in producing the links, not closing
+    them); a larger one runs the distributed hash-min + pointer-doubling
+    iteration. The gate is read at call time (tests force the distributed
+    path by patching it to 0).
     """
-    # pin the edge list once: auto-strategy needs a count AND a collect —
-    # on a lazy input each would re-execute the caller's entire upstream
-    # chain (measured: the minhash LSH explode+shuffle ran 3x per curation
-    # run before this). Edges are slim 2-col rows; the distributed path
+    # pin the edge list once: the gate needs a count AND a collect — on a
+    # lazy input each would re-execute the caller's entire upstream chain
+    # (measured: the minhash LSH explode+shuffle ran 3x per curation run
+    # before this). Edges are slim 2-col rows; the distributed path
     # materializes its symmetrized copy anyway.
     ds_links = ds_links.materialize()
-    if strategy == "auto":
-        n_edges = ds_links.count()
-        strategy = ("driver" if n_edges <= DRIVER_EDGE_MAX
-                    else "distributed")
-
-    if strategy == "driver":
+    if ds_links.count() <= DRIVER_EDGE_MAX:
         import ray.data as rd
         pairs = collect_arrow(
             ds_links.select_columns([id_from, id_to]),
@@ -178,8 +175,7 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
         return rd.from_arrow(pa.table({"node": nodes, "entity_id": ents}))
 
     edges = _sym_edges(ds_links, id_from, id_to).materialize()
-    n_parts = (num_partitions if num_partitions
-               else min(64, max(8, edges.num_blocks())))
+    n_parts = min(64, max(8, edges.num_blocks()))
 
     # init: every node starts with the min label among itself + direct
     # neighbors (first hash-min round fused into initialization)
@@ -242,7 +238,7 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
         return j.map_batches(take_parent, batch_format="pyarrow")
 
     prev_sig = _signature(labels)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ROUNDS):
         # propagate: join edges (on src) with labels -> candidate label for dst
         # (hash_join, not Dataset.join — see stages/join.py on why)
         msgs = hash_join(edges, labels, on="src", right_on="node",

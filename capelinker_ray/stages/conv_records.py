@@ -180,7 +180,6 @@ def _finalize_fn(vocab: dict[str, int], prefix_len: int):
 
 def build_conv_records(ds_turns, tool_vocab: dict[str, int] | None = None,
                        prefix_len: int = BLOCK_PREFIX_LEN,
-                       batch_size: int | None = None,
                        text_cap: int | None = None,
                        pin_partials: bool = True):
     """Dataset[turns + text_norm] -> Dataset[conversation records].
@@ -200,8 +199,7 @@ def build_conv_records(ds_turns, tool_vocab: dict[str, int] | None = None,
     if tool_vocab is None:
         tool_vocab = collect_tool_vocab(ds_turns)
     partials = ds_turns.map_batches(_partials_fn(tool_vocab, text_cap),
-                                    batch_format="pandas",
-                                    batch_size=batch_size)
+                                    batch_format="pandas")
     if pin_partials:
         # pin the SLIM partials (conversation-level rows, capped texts —
         # orders of magnitude smaller than the turn input) before the
@@ -213,5 +211,4 @@ def build_conv_records(ds_turns, tool_vocab: dict[str, int] | None = None,
         partials = partials.materialize()
     combined = _combine_partials(partials)
     return combined.map_batches(_finalize_fn(tool_vocab, prefix_len),
-                                batch_format="pandas",
-                                batch_size=batch_size)
+                                batch_format="pandas")

@@ -133,11 +133,19 @@ def uniformise_column(ds, col: str, out_col: str | None = None,
 
     def apply_map(df: pd.DataFrame) -> pd.DataFrame:
         from .bcast import cached_get
-        m = cached_get(ref)
-        mapped = df[col].map(lambda s: m.get(s, s)
-                             if isinstance(s, str) else None)
-        return df.assign(**{out_col: mapped})
+        return df.assign(**{out_col: _map_strings(df[col], cached_get(ref))})
     return ds.map_batches(apply_map, batch_format="pandas")
+
+
+def _map_strings(values: pd.Series, mapping: dict) -> np.ndarray:
+    """Object array: each string through ``mapping`` (a string the mapping
+    lacks maps to itself), every non-string (None, NaN, numbers) to None.
+    The lookup runs once per DISTINCT value (``pd.factorize``), and a
+    take spreads the results back over the rows."""
+    codes, uniq = pd.factorize(values)
+    mapped = np.array([mapping.get(v, v) if isinstance(v, str) else None
+                       for v in uniq] + [None], dtype=object)
+    return mapped[codes]          # code -1 (missing) takes the last slot
 
 
 def add_group_uniqueness(ds, group_col: str, str_col: str,

@@ -62,8 +62,7 @@ def word_ngram_hashes(texts: pd.Series, n: int):
 
 def decontaminate(corpus, bench, *, text_col: str = "text",
                   id_col: str = "doc_id", n: int = 8,
-                  bench_text_col: str | None = None,
-                  batch_size: int | None = None):
+                  bench_text_col: str | None = None):
     """Dataset[(id_col, n_hit_ngrams, contaminated)] over ``corpus``.
 
     ``n_hit_ngrams`` counts the DISTINCT n-grams of the doc that appear
@@ -106,5 +105,4 @@ def decontaminate(corpus, bench, *, text_col: str = "text",
                          "contaminated": pa.array(hits > 0)},
                         schema=out_schema)
 
-    return corpus.map_batches(flag, batch_format="pandas",
-                              batch_size=batch_size)
+    return corpus.map_batches(flag, batch_format="pandas")

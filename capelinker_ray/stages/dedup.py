@@ -30,24 +30,29 @@ __all__ = [
 ]
 
 
-def _widen(ds, input_partitions):
-    """Repartition a narrow input up to session width before a heavy
-    pre-shuffle stage. A single-block source (from_pandas, one small
-    parquet file) otherwise runs the whole signature/shingle computation
-    as ONE serial task — downstream grouped_map repartitions spread the
-    SHUFFLE, not the map that feeds it. ``input_partitions=None`` skips
-    (cluster-scale reads are already wide); ``"auto"`` = 2× session CPUs."""
-    if input_partitions:
-        from .grouped import default_partitions
-        n = (default_partitions() if input_partitions == "auto"
-             else int(input_partitions))
-        try:
-            if ds.num_blocks() >= n:   # already wide (materialized only)
-                return ds
-        except Exception:
-            pass                        # lazy plan: width unknown
-        ds = ds.repartition(n)
-    return ds
+# minhash_lsh_dedup re-joins signatures per candidate pair (slim shuffle)
+# above this many docs, and carries them inline in the band rows below
+REJOIN_MIN_DOCS = 2_000_000
+# segment_dedup / dup_spans broadcast their hot set (duplicated segments or
+# windows) up to this many entries; above it they hash-join distributed
+HOT_SET_BROADCAST_MAX = 5_000_000
+
+
+def _widen(ds):
+    """Repartition a narrow input up to session width (2× session CPUs)
+    before a heavy pre-shuffle stage. A single-block source (from_pandas,
+    one small parquet file) otherwise runs the whole signature/shingle
+    computation as ONE serial task — downstream grouped_map repartitions
+    spread the SHUFFLE, not the map that feeds it. A materialized input
+    that is already that wide passes through untouched."""
+    from .grouped import default_partitions
+    n = default_partitions()
+    try:
+        if ds.num_blocks() >= n:   # already wide (materialized only)
+            return ds
+    except Exception:
+        pass                        # lazy plan: width unknown
+    return ds.repartition(n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +227,7 @@ def _batch_shingle_hashes(texts: list, k: int):
 
 
 def minhash_signatures(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                       num_perm: int = 64, shingle_k: int = 5,
-                       batch_size: int | None = None,
-                       input_partitions: int | str | None = "auto"):
+                       num_perm: int = 64, shingle_k: int = 5):
     """+ ``minhash`` (fixed_size_list<uint64? -> int64>[num_perm]).
 
     Permutations are simulated with splitmix64 streams over shingle hashes
@@ -233,7 +236,7 @@ def minhash_signatures(ds, *, text_col: str = "text", id_col: str = "doc_id",
     one ``np.minimum.reduceat`` over the doc-contiguous hash runs — no
     per-document Python loop (min over the shingle multiset equals min
     over the set, so no dedup pass is needed)."""
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
     seeds = _splitmix64(np.arange(1, num_perm + 1, dtype=np.uint64))
     maxv = np.iinfo(np.uint64).max
 
@@ -255,7 +258,7 @@ def minhash_signatures(ds, *, text_col: str = "text", id_col: str = "doc_id",
         col = pa.FixedSizeListArray.from_arrays(flat, num_perm)
         return t.append_column("minhash", col)
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _minhash_rejoin_pairs(sigged, band_keys_fn, sig_matrix_fn, *,
@@ -305,45 +308,39 @@ def _minhash_rejoin_pairs(sigged, band_keys_fn, sig_matrix_fn, *,
 def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 64, bands: int = 16, shingle_k: int = 5,
                       jaccard_threshold: float = 0.7,
-                      payload_mode: str = "auto",
-                      rejoin_threshold: int = 2_000_000,
                       max_bucket_pairs: int = 200_000):
     """MinHash + banded LSH near-dup pairs.
 
     shingle -> minhash (map_batches) -> explode one row per band with a
     band-hash key -> ONE groupby(band_key) shuffle -> same-bucket
     candidates -> est Jaccard = fraction of equal permutation slots,
-    filtered >= threshold. Two shuffle layouts (``payload_mode``):
+    filtered >= threshold. The signature table is materialized once and
+    its row count picks one of two shuffle layouts:
 
-      * ``"inline"`` — the signature rides each band row PACKED as one
-        fixed-size binary value (contiguous bytes, not a per-row Python
-        list) and the estimate filter runs IN the bucket before any pair
-        leaves it. A dup-heavy corpus produces ~100x more raw band
-        collisions than true near-dups (measured 401k collisions -> 258
-        pairs at sf0.1), so in-bucket filtering wins at moderate scale
-        despite replicating the signature x bands through the shuffle.
-      * ``"rejoin"`` — slim ``(id, band_key)`` rows only through the
-        shuffle (8 KB/doc of signature bytes saved at num_perm=64 x 16
-        bands), candidate pairs enumerated by the salted equality blocker,
-        signatures re-joined per CANDIDATE PAIR and verified vectorized —
-        the ``simhash_dup_pairs`` layout. Wins when corpus size x signature
+      * inline (at most ``REJOIN_MIN_DOCS`` docs) — the signature rides
+        each band row PACKED as one fixed-size binary value (contiguous
+        bytes, not a per-row Python list) and the estimate filter runs IN
+        the bucket before any pair leaves it. A dup-heavy corpus produces
+        ~100x more raw band collisions than true near-dups (measured 401k
+        collisions -> 258 pairs at sf0.1), so in-bucket filtering wins at
+        moderate scale despite replicating the signature x bands through
+        the shuffle.
+      * rejoin (more than ``REJOIN_MIN_DOCS`` docs) — slim
+        ``(id, band_key)`` rows only through the shuffle (8 KB/doc of
+        signature bytes saved at num_perm=64 x 16 bands), candidate pairs
+        enumerated by the salted equality blocker, signatures re-joined
+        per CANDIDATE PAIR and verified vectorized — the
+        ``simhash_dup_pairs`` layout. Wins when corpus size x signature
         width dominates the collision count (100-TB regime).
-      * ``"auto"`` (default) — materializes the signature table once and
-        picks ``rejoin`` above ``rejoin_threshold`` docs, ``inline`` below.
 
-    Both modes return identical pairs (pytest-pinned): the estimate is
-    computed over the full signature either way.
+    Both layouts return identical pairs (pytest-pinned by patching the
+    gate): the estimate is computed over the full signature either way.
     Returns Dataset[(id_from, id_to, est_jaccard)] with id_from < id_to.
     """
-    if payload_mode not in ("auto", "inline", "rejoin"):
-        raise ValueError(f"unknown payload_mode {payload_mode!r}")
     rows_per_band = num_perm // bands
     sigged = minhash_signatures(ds, text_col=text_col, id_col=id_col,
-                                num_perm=num_perm, shingle_k=shingle_k)
-    if payload_mode == "auto":
-        sigged = sigged.materialize()
-        payload_mode = ("rejoin" if sigged.count() > rejoin_threshold
-                        else "inline")
+                                num_perm=num_perm,
+                                shingle_k=shingle_k).materialize()
 
     def _band_keys(sig: np.ndarray) -> np.ndarray:
         """(n, num_perm) uint64 signatures -> (bands, n) band-hash keys."""
@@ -363,7 +360,7 @@ def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                 zero_copy_only=False)
         ).reshape(len(t), num_perm).astype(np.uint64)
 
-    if payload_mode == "rejoin":
+    if sigged.count() > REJOIN_MIN_DOCS:
         return _minhash_rejoin_pairs(
             sigged, _band_keys, _sig_matrix, id_col=id_col, bands=bands,
             jaccard_threshold=jaccard_threshold,
@@ -455,9 +452,7 @@ def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 # SimHash
 # ---------------------------------------------------------------------------
 
-def simhash_signatures(ds, *, text_col: str = "text",
-                       batch_size: int | None = None,
-                       input_partitions: int | str | None = "auto"):
+def simhash_signatures(ds, *, text_col: str = "text"):
     """+ ``simhash`` int64: 64-bit Charikar simhash over token hashes.
 
     Vectorized across the whole batch: all tokens of all docs are hashed in
@@ -468,7 +463,7 @@ def simhash_signatures(ds, *, text_col: str = "text",
     (which packed the bit vector reversed) — Hamming distances between
     same-version signatures are unchanged, but signatures persisted by the
     old code must not be compared against new ones."""
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
@@ -492,12 +487,11 @@ def simhash_signatures(ds, *, text_col: str = "text",
             sigs[lens == 0] = np.uint64(0)
         out["simhash"] = sigs.astype(np.int64)
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def simhash_dup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                      max_hamming: int = 3, bands: int | None = None,
-                      batch_size: int | None = None):
+                      max_hamming: int = 3, bands: int | None = None):
     """SimHash near-dup PAIRS (r1 verdict: signatures alone dedup nothing).
 
     64-bit signature -> band it into ``bands`` equal bit-chunks -> explode
@@ -515,8 +509,7 @@ def simhash_dup_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         raise ValueError("bands must divide 64")
     bits = 64 // bands
     chunk_mask = np.uint64((1 << bits) - 1)
-    sigged = simhash_signatures(ds, text_col=text_col,
-                                batch_size=batch_size).materialize()
+    sigged = simhash_signatures(ds, text_col=text_col).materialize()
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         sig = df["simhash"].to_numpy(np.int64).astype(np.uint64)
@@ -572,8 +565,7 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                         block_col: str | None = None, n: int = 3,
                         threshold: float = 0.5, unblocked_cap: int = 20_000,
                         prefilter: str | None = None,
-                        num_perm: int = 128, bands: int = 32,
-                        input_partitions: int | str | None = "auto"):
+                        num_perm: int = 128, bands: int = 32):
     """Exact character-n-gram Jaccard near-dup pairs.
 
     Three modes (r1 verdict weakness #3 — the old default ran one global
@@ -594,7 +586,7 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     global quadratic would be a driver-killer at scale.
     """
     from .grouped import grouped_map
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
 
     def _pairs_in_block(g: pd.DataFrame) -> pd.DataFrame:
         """Vectorized exact block kernel: intersections from one self-merge
@@ -687,8 +679,7 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
                         n_tables: int = 8, n_planes: int | str = "auto",
                         target_bucket: int = 256, seed: int = 12345,
                         exact_block: bool = False,
-                        max_block_pairs: int = 200_000,
-                        input_partitions: int | str | None = "auto"):
+                        max_block_pairs: int = 200_000):
     """Embedding-cosine near-dup pairs via banded multi-table hyperplane
     LSH (r1 verdict weakness #4 — the old single 16-bucket table was
     O((N/16)²) with no cap).
@@ -733,7 +724,7 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
         return keyed.groupby("_bucket").map_groups(
             pairs, batch_format="pandas")
 
-    ds = _widen(ds, input_partitions).materialize()
+    ds = _widen(ds).materialize()
     if n_planes == "auto":
         n_rows = ds.count()
         n_planes = int(np.clip(np.ceil(np.log2(max(n_rows, 2)
@@ -828,8 +819,7 @@ def _batch_segments(texts, words_per_seg: int):
 
 def segment_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                   words_per_seg: int = 20, max_count: int = 2,
-                  broadcast_threshold: int = 5_000_000,
-                  input_partitions="auto", replace_text: bool = False):
+                  replace_text: bool = False):
     """Remove globally-duplicated SEGMENTS (fixed word windows) from every
     document — the paragraph-dedup step of web-corpus curation pipelines
     (CCNet / Gopher boilerplate removal), segment-level where
@@ -844,7 +834,7 @@ def segment_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     (value_counts inside ``map_batches``) so the single
     ``groupby(seg)`` shuffle moves one row per distinct segment per
     batch, not one per occurrence. Hot segments are by construction few;
-    below ``broadcast_threshold`` of them the hot set is ``ray.put``
+    up to ``HOT_SET_BROADCAST_MAX`` of them the hot set is ``ray.put``
     ONCE and pass 2 re-segments and rebuilds each doc in a stateless
     map — doc rows never explode through a shuffle. Above it, the
     fallback explodes slim ``(id, seg_idx, seg)`` rows, left-joins the
@@ -862,7 +852,7 @@ def segment_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         _, _, segs = _batch_segments(df[text_col].tolist(), words_per_seg)
@@ -895,7 +885,7 @@ def segment_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
             dtype=object, count=n_docs)
         return clean, n_seg.astype(np.int64), n_removed.astype(np.int64)
 
-    if hot_ds.count() <= broadcast_threshold:
+    if hot_ds.count() <= HOT_SET_BROADCAST_MAX:
         hot_pd = hot_ds.to_pandas()
         ref = ray.put(set(hot_pd["seg"]))
 
@@ -1028,7 +1018,6 @@ def semantic_dedup(ds, *, vec_col: str = "embedding",
                    id_col: str = "doc_id", threshold: float = 0.95,
                    n_clusters: int | str = "auto",
                    sample_size: int = 2048, seed: int = 7,
-                   input_partitions="auto",
                    max_cluster_rows: int | None = 200_000):
     """SemDeDup-style semantic deduplication (Abbas et al. 2023, public):
     k-means-cluster the embedding space, then WITHIN each cluster drop
@@ -1059,7 +1048,7 @@ def semantic_dedup(ds, *, vec_col: str = "embedding",
     """
     from .simsearch import assign_clusters, kmeans_centroids, _norm_rows
     from .grouped import grouped_map
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
     slim = ds.select_columns([id_col, vec_col])
     C = kmeans_centroids(slim, vec_col=vec_col, k=n_clusters,
                          sample_size=sample_size, seed=seed)
@@ -1241,9 +1230,7 @@ def _merge_spans(doc_of, starts, win: int):
 
 
 def dup_spans(ds, *, text_col: str = "text", id_col: str = "doc_id",
-              win: int = 8, stride: int = 1, min_docs: int = 2,
-              broadcast_threshold: int = 5_000_000,
-              input_partitions="auto"):
+              win: int = 8, stride: int = 1, min_docs: int = 2):
     """Cross-document repeated-SPAN detection: every sliding ``win``-word
     window whose exact text occurs in >= ``min_docs`` DISTINCT documents
     is flagged, and per document the flagged windows are merged into
@@ -1258,7 +1245,7 @@ def dup_spans(ds, *, text_col: str = "text", id_col: str = "doc_id",
     (distinct window, batch) — the per-position explosion never crosses
     the wire. ``stride > 1`` subsamples positions (recall/cost dial: a
     duplicated run longer than ``win + stride - 1`` words is still hit).
-    Below ``broadcast_threshold`` duplicated windows the hot set ships
+    Up to ``HOT_SET_BROADCAST_MAX`` duplicated windows the hot set ships
     once via ``ray.put`` and pass 2 is a stateless shuffle-free map;
     above it, a slim ``(id, start, window)`` explode + hash join +
     per-doc ``grouped_map`` island merge takes over.
@@ -1268,7 +1255,7 @@ def dup_spans(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
 
     def partial_docs(df: pd.DataFrame) -> pd.DataFrame:
         doc_of, _, wins = _batch_windows(df[text_col].tolist(), win, stride)
@@ -1290,7 +1277,7 @@ def dup_spans(ds, *, text_col: str = "text", id_col: str = "doc_id",
     hot_ds = grouped_map(
         ds.map_batches(partial_docs, batch_format="pandas"), "w", combine)
 
-    if hot_ds.count() <= broadcast_threshold:
+    if hot_ds.count() <= HOT_SET_BROADCAST_MAX:
         hot_pd = hot_ds.to_pandas()
         # an all-empty Dataset drops its pandas column names
         ref = ray.put(set(hot_pd["w"]) if "w" in hot_pd.columns else set())
@@ -1510,8 +1497,7 @@ def ngram_containment_pairs(ds, *, text_col: str = "text",
                             id_col: str = "doc_id",
                             block_col: str | None = None, n: int = 5,
                             threshold: float = 0.8,
-                            unblocked_cap: int = 20_000,
-                            input_partitions: int | str | None = "auto"):
+                            unblocked_cap: int = 20_000):
     """DIRECTIONAL n-gram containment pairs: ``C(A -> B) = |grams(A) ∩
     grams(B)| / |grams(A)|`` — the asymmetric near-dup signal Jaccard
     misses (a short doc quoted wholesale inside a long one has high
@@ -1527,7 +1513,7 @@ def ngram_containment_pairs(ds, *, text_col: str = "text",
     table per block — no Python pair loop); unblocked inputs above
     ``unblocked_cap`` raise rather than run a silent global quadratic."""
     from .grouped import grouped_map
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
 
     def _pairs_in_block(g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy(np.int64)
@@ -1596,7 +1582,8 @@ def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
     survivors are the rows where the two columns agree.
 
     Scale shape: components close on the slim pair table (driver
-    union-find under the 5M-edge gate, distributed hash-min above);
+    union-find up to ``cluster.DRIVER_EDGE_MAX`` edges, distributed
+    hash-min above);
     family attach and the winner join are hash joins on the family key
     (never a broadcast of the family table — #families ~ #docs); the
     per-family argmax is one ``top_k_per_group(k=1)`` co-partition
@@ -1607,8 +1594,7 @@ def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
     from .join import hash_join
     from .sampling import top_k_per_group
 
-    comps = connected_components(pairs, id_from="id_from", id_to="id_to",
-                                 num_partitions=num_partitions)
+    comps = connected_components(pairs, id_from="id_from", id_to="id_to")
 
     def to_int(t: pa.Table) -> pa.Table:
         return pa.table({id_col: t["node"].cast(pa.int64()),

@@ -78,8 +78,7 @@ def session_stats(ds_sessionized, *, user_col: str = "user_id",
 
 def tumbling_window_agg(ds, *, user_col: str = "user_id",
                         ts_col: str = "ts", value_col: str = "value",
-                        window_minutes: float = 60.0,
-                        batch_size: int | None = None):
+                        window_minutes: float = 60.0):
     """Per (user, window) count/sum with in-batch partial aggregation:
     raw events never cross the shuffle — only one partial row per
     (user, window) per batch does (SURVEY §4 'pre-aggregate before
@@ -95,8 +94,7 @@ def tumbling_window_agg(ds, *, user_col: str = "user_id",
                .reset_index())
         return out
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
+    partials = ds.map_batches(partial, batch_format="pandas")
 
     from .grouped import grouped_map
 
@@ -111,8 +109,7 @@ def tumbling_window_agg(ds, *, user_col: str = "user_id",
 def hopping_window_agg(ds, *, key_col: str = "event_type",
                        ts_col: str = "ts", value_col: str = "value",
                        window_minutes: float = 60.0,
-                       hop_minutes: float = 15.0,
-                       batch_size: int | None = None):
+                       hop_minutes: float = 15.0):
     """Per (key, sliding window) count/sum: windows of ``window_minutes``
     starting every ``hop_minutes`` (hop must divide the window). An event
     at time t lands in the windows whose start k*hop satisfies
@@ -150,8 +147,7 @@ def hopping_window_agg(ds, *, key_col: str = "event_type",
                 .agg(n_events=("_v", "size"), value_sum=("_v", "sum"))
                 .reset_index())
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
+    partials = ds.map_batches(partial, batch_format="pandas")
 
     from .grouped import grouped_map
 

@@ -88,12 +88,12 @@ def _distcalc_batch(t: pa.Table, character_variables, numeric_variables,
 
 def distcalc(ds_pairs, character_variables=(), numeric_variables=(),
              osa_variables=(), gauss_variables=None, p_jw: float = 0.1,
-             sdx: bool = True, batch_size: int | None = None):
+             sdx: bool = True):
     """Dataset[pairs] -> same + feature columns (distances.R:23-45 parity)."""
     return ds_pairs.map_batches(
         lambda t: _distcalc_batch(t, character_variables, numeric_variables,
                                   osa_variables, gauss_variables, p_jw, sdx),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ _SLIM_PAIR_COLS = {"conv_id_from", "conv_id_to", "id_from", "id_to",
 
 
 def add_pair_features(ds_pairs, ts_sigma_days: float = 30.0,
-                      batch_size: int | None = None, slim: bool = False):
+                      slim: bool = False):
     """Conv-record pair table -> + TRANSCRIPT_FEATURES columns.
 
     ``matches`` (candidates per from-record) is already emitted by the
@@ -200,6 +200,5 @@ def add_pair_features(ds_pairs, ts_sigma_days: float = 30.0,
             t = t.select(keep)
         return t
 
-    return ds_pairs.map_batches(fn, batch_format="pyarrow",
-                                batch_size=batch_size)
+    return ds_pairs.map_batches(fn, batch_format="pyarrow")
 

@@ -13,13 +13,13 @@ uniform teleport and uniform redistribution of dangling-node mass:
 
 100-TB shape: the EDGE table is the big side and never reaches the driver.
 
-* ``strategy="broadcast"`` (auto below ``broadcast_nodes``): the rank /
+* broadcast (up to ``BROADCAST_NODES_MAX`` nodes): the rank /
   out-degree vectors live once in plasma (``ray.put``) keyed by a sorted
   node array; each iteration is ONE stateless ``map_batches`` pass over
   the edges emitting per-batch partial dst sums (bounded by distinct dst
   per batch), merged in one task. No shuffle at all — iterations cost
   #edges scan each.
-* ``strategy="distributed"``: ranks stay a Dataset. Each iteration is a
+* distributed (more nodes): ranks stay a Dataset. Each iteration is a
   hash co-partition of edges with the rank table on src (ONE exchange via
   grouped_map) producing partial contributions, then one grouped sum by
   dst, then a left join back onto the node table. Per-iteration
@@ -37,6 +37,10 @@ import numpy as np
 import pandas as pd
 
 __all__ = ["pagerank", "node_degrees"]
+
+# pagerank keeps the rank vector on the driver and broadcasts it per
+# iteration up to this many nodes; larger graphs iterate distributed
+BROADCAST_NODES_MAX = 2_000_000
 
 
 def _partial_counts(df: pd.DataFrame, col: str, out: str) -> pd.DataFrame:
@@ -85,28 +89,23 @@ def _collect_outdeg(edges, src_col, dst_col):
 
 def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
              damping: float = 0.85, iters: int = 5,
-             strategy: str = "auto", broadcast_nodes: int = 2_000_000,
              node_col: str = "node", rank_col: str = "rank"):
     """Edge Dataset -> Dataset[(node, rank)] after ``iters`` power
     iterations. Node ids must be int64; self-loops and parallel edges are
-    used as given (pre-dedup if you want simple-graph semantics)."""
+    used as given (pre-dedup if you want simple-graph semantics). The
+    node count, read against ``BROADCAST_NODES_MAX`` at call time, picks
+    the broadcast or the distributed iteration."""
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if strategy == "auto":
-        # one slim pass for the node count; edges stream, never collect
-        n_nodes = node_degrees(edges, src_col=src_col,
-                               dst_col=dst_col).count()
-        strategy = "broadcast" if n_nodes <= broadcast_nodes else \
-            "distributed"
-    if strategy == "broadcast":
+    # one slim pass for the node count; edges stream, never collect
+    n_nodes = node_degrees(edges, src_col=src_col, dst_col=dst_col).count()
+    if n_nodes <= BROADCAST_NODES_MAX:
         return _pagerank_broadcast(edges, src_col, dst_col, damping, iters,
                                    node_col, rank_col)
-    if strategy == "distributed":
-        return _pagerank_distributed(edges, src_col, dst_col, damping,
-                                     iters, node_col, rank_col)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _pagerank_distributed(edges, src_col, dst_col, damping,
+                                 iters, node_col, rank_col)
 
 
 def _pagerank_broadcast(edges, src_col, dst_col, damping, iters,

@@ -74,34 +74,32 @@ def typed_or_empty(df: pd.DataFrame):
     return df
 
 
-# engine-wide shuffle strategy for grouped_map: "sort" (default) is the
-# repartition + sort-shuffle path; "hash" routes through Ray's
-# hash-shuffle groupby (ONE exchange, reduce width pinned by
-# num_partitions directly) — semantically identical (206-test parity) but
-# it spawns a fresh aggregator-actor pool per operator, a measured
-# ~1.5 s fixed setup on this box that outweighs the saved barrier until
-# shuffles carry several million rows. Flip per-call via ``shuffle=`` for
-# genuinely large exchanges.
-GROUPED_SHUFFLE = "sort"
+# grouped_map's shuffle: "sort" (default) is the repartition +
+# sort-shuffle path; "hash" routes through Ray's hash-shuffle groupby (ONE
+# exchange, reduce width pinned by num_partitions directly) —
+# semantically identical but it spawns a fresh aggregator-actor pool per
+# operator, a measured ~1.5 s fixed setup on a 4-vCPU host that outweighs
+# the saved barrier until a shuffle carries more than this many rows
+# (the blocking pair exchange checks its tagged row count against it).
+HASH_SHUFFLE_MIN_ROWS = 300_000
 
 
 def grouped_map(ds, keys: str | list[str], fn, *,
                 num_partitions: int | None = None,
                 batch_format: str = "pandas",
-                shuffle: str | None = None):
+                shuffle: str = "sort"):
     """Apply ``fn(frame)`` to coarse hash partitions of complete key-groups.
 
     ``fn`` receives a pandas DataFrame containing every row of each key in
     its partition (the ``_PART`` helper column already stripped) and must
     handle multiple keys — typically via one vectorized
     ``frame.groupby(keys)``. Returns the concatenated Dataset.
-    ``num_partitions`` defaults to 2× cluster CPUs.
+    ``num_partitions`` defaults to 2× cluster CPUs. ``shuffle`` is "sort"
+    or "hash" (see ``HASH_SHUFFLE_MIN_ROWS``).
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_partitions is None:
         num_partitions = default_partitions()
-    if shuffle is None:
-        shuffle = GROUPED_SHUFFLE
 
     def add_part(df: pd.DataFrame) -> pd.DataFrame:
         # assign = shallow copy (new frame, shared immutable column

@@ -12,7 +12,7 @@ right side once and reads its Arrow size:
 
 * at most ``BROADCAST_MAX_BYTES`` (128 MiB) and ``how`` not "outer": the
   right side is collected, its null keys dropped, and one copy is
-  ``ray.put``; every worker process indexes it once (``_worker_cached``)
+  ``ray.put``; every worker process indexes it once (``bcast.cached_get``)
   and each left batch is one vectorized probe plus Arrow ``take`` — no
   shuffle, and the left rows never move;
 * otherwise a tagged union of both sides runs through the hash-partitioned
@@ -41,6 +41,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
+
+from .bcast import cached_get
 
 __all__ = ["hash_join", "broadcast_join", "collect_arrow",
            "BROADCAST_MAX_BYTES"]
@@ -212,7 +214,7 @@ def _broadcast_probe(left, right, rschema, *, how, on, right_on, lsrc, rsrc,
     rout = [n for n in out_schema.names if n not in lsrc]
 
     def probe(t: pa.Table) -> pa.Table:
-        side, uniq, order, counts, starts = _worker_cached(
+        side, uniq, order, counts, starts = cached_get(
             ref, lambda tbl: _probe_structure(tbl, on))
         t = _project(t, lsrc, lschema)
         n = len(t)
@@ -314,29 +316,6 @@ def _shuffle_join(left, right, *, how, on, right_on, lsrc, rsrc, out_schema,
     return joined
 
 
-# per-WORKER-PROCESS cache of deserialized + key-indexed broadcast sides.
-# ray.get() of a pandas/arrow object re-materializes it on EVERY call (string
-# columns are pickled, not plasma-zero-copy), and pandas merge rebuilds the
-# right side's hash table per batch — at a 1M-row entity map × thousands of
-# turn batches that was ~70 s of pure rework in the flagship tail. Worker
-# processes are reused across tasks of a stage, so the first batch a worker
-# sees pays the build and every later batch does an O(batch) probe.
-_BCAST_CACHE: dict[str, tuple] = {}
-_BCAST_CACHE_MAX = 4
-
-
-def _worker_cached(ref, build):
-    """``build(ray.get(ref))``, memoized per worker process by ref."""
-    key = ref.hex()
-    hit = _BCAST_CACHE.get(key)
-    if hit is None:
-        hit = build(ray.get(ref))
-        if len(_BCAST_CACHE) >= _BCAST_CACHE_MAX:
-            _BCAST_CACHE.pop(next(iter(_BCAST_CACHE)))
-        _BCAST_CACHE[key] = hit
-    return hit
-
-
 def _bcast_lookup(right_ref, on: list[str]):
     def build(obj):
         rdf = obj.to_pandas() if isinstance(obj, pa.Table) else obj
@@ -348,7 +327,7 @@ def _bcast_lookup(right_ref, on: list[str]):
         if unique and len(idx):
             idx.get_indexer(idx[:1])  # prime the hash engine once
         return rdf, idx, unique, {}  # {} = lazily-filled numpy column cache
-    return _worker_cached(right_ref, build)
+    return cached_get(right_ref, build)
 
 
 def broadcast_join(left, right_df, *, on: str | list[str],
@@ -356,7 +335,7 @@ def broadcast_join(left, right_df, *, on: str | list[str],
     """Shuffle-free join against a small in-memory right side: the frame is
     put in the object store ONCE (``ray.put``, as an Arrow table — string
     buffers ride plasma instead of being re-pickled) and every worker
-    process indexes the shared copy ONCE (module cache above) — the
+    process indexes the shared copy ONCE (``bcast.cached_get``) — the
     reference's model-registry/broadcast-dict pattern (SURVEY §2.5
     uniformise_string) applied to joins.
 

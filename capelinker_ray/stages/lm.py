@@ -61,8 +61,7 @@ def _batch_tri_codes(texts) -> tuple:
 
 
 def trigram_nll(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                out_col: str = "nll", input_partitions="auto",
-                min_count: int = 1):
+                out_col: str = "nll", min_count: int = 1):
     """Dataset[(id_col, n_tri, out_col)] — per-document mean negative log
     probability under the corpus's own add-one-smoothed trigram LM.
     Documents with fewer than 3 characters (or null text) are omitted.
@@ -83,7 +82,7 @@ def trigram_nll(ds, *, text_col: str = "text", id_col: str = "doc_id",
     add-one smoothing already defines their mass."""
     from .dedup import _widen
     from .grouped import grouped_map
-    ds = _widen(ds, input_partitions)
+    ds = _widen(ds)
     slim = ds.select_columns([id_col, text_col])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:

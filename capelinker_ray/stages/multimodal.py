@@ -2,16 +2,17 @@
 
 Media are opaque ``binary`` columns with typed metadata travelling next to
 them (media_type, width/height or sample_rate, byte length). The Ray-side
-plumbing — schema, actor-pool stage shape, small batches for large
-payloads, output layout — is real and tested; the actual codec work is
-STUBBED (no PIL/ffmpeg in this container): ``decode_fn=None`` raises
-``NotImplementedError`` at actor construction unless ``fake=True`` installs
-the deterministic fake decoder (byte-histogram "features"), which is what
-tests and the driver exercise.
+plumbing — schema, small batches for large payloads, output layout — is
+real and tested; the actual codec work is STUBBED (the package depends on
+no PIL/ffmpeg): a stage called without its codec fn raises
+``NotImplementedError`` at the call unless ``fake=True`` installs the
+deterministic fake (byte-histogram "features", byte resample, byte
+slicing), which is what the tests and ``q_media_features`` exercise.
 
-Scale notes baked in: payload stages default to SMALL batch_size (payload ×
-batch × concurrency must fit worker heap), actor pools (decoder init is
-expensive for real codecs), zero-copy Arrow in/out.
+Every stage is one stateless ``map_batches`` function closing over the
+codec fn, in SMALL batches (``*_BATCH_ROWS``: payload × batch must fit a
+worker's heap), zero-copy Arrow in/out. A codec that is expensive to
+load should cache itself per worker process (module-level memo).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["MEDIA_SCHEMA", "MediaFeaturizer", "featurize_media",
-           "resize_media", "sample_frames", "fake_media_table"]
+__all__ = ["MEDIA_SCHEMA", "featurize_media", "resize_media",
+           "sample_frames", "fake_media_table"]
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
@@ -34,6 +35,24 @@ MEDIA_SCHEMA = pa.schema([
 ])
 
 N_FEATURES = 16
+
+# rows per batch: featurize and resize batches carry the raw payload bytes
+# (resize holds old and new payload at once); frame sampling fans each
+# video out to n_frames payload rows, so it runs smaller batches still
+FEATURIZE_BATCH_ROWS = 64
+RESIZE_BATCH_ROWS = 64
+FRAMES_BATCH_ROWS = 16
+
+
+def _codec(fn, fake: bool, fake_fn, arg: str):
+    """The caller's codec fn, else the fake one, else raise at the call."""
+    if fn is not None:
+        return fn
+    if fake:
+        return fake_fn
+    raise NotImplementedError(
+        f"no media codec is bundled: pass {arg} or fake=True "
+        "(deterministic stand-in)")
 
 
 def _fake_decode(payloads: list[bytes | None]) -> np.ndarray:
@@ -48,106 +67,63 @@ def _fake_decode(payloads: list[bytes | None]) -> np.ndarray:
     return out
 
 
-class MediaFeaturizer:
-    """Actor-pool stage: decode/feature-extract media payloads.
+def featurize_media(ds, *, decode_fn=None, fake: bool = False):
+    """Dataset[MEDIA_SCHEMA] -> + media_features fixed_size_list<float32>.
 
-    Real deployments pass ``decode_fn`` (loads its codec/model once per
-    actor — that is why this is a class, not a function). ``fake=True``
-    uses the deterministic byte-histogram fake."""
+    ``decode_fn(payloads) -> (n, d) array`` decodes and feature-extracts
+    one batch; ``fake=True`` uses the deterministic byte-histogram fake."""
+    decode = _codec(decode_fn, fake, _fake_decode, "decode_fn")
 
-    def __init__(self, media_type: str = "image", decode_fn=None,
-                 fake: bool = False):
-        self.media_type = media_type
-        if decode_fn is not None:
-            self.decode = decode_fn
-        elif fake:
-            self.decode = _fake_decode
-        else:
-            raise NotImplementedError(
-                "no media codecs in this environment: pass decode_fn "
-                "or fake=True (deterministic byte-histogram features)")
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        feats = self.decode(t["payload"].to_pylist())
-        flat = pa.array(np.asarray(feats, np.float32).reshape(-1),
-                        pa.float32())
+    def featurize(t: pa.Table) -> pa.Table:
+        feats = np.asarray(decode(t["payload"].to_pylist()), np.float32)
+        flat = pa.array(feats.reshape(-1), pa.float32())
         col = pa.FixedSizeListArray.from_arrays(flat, feats.shape[1])
         return t.append_column("media_features", col)
 
-
-def featurize_media(ds, *, media_type: str = "image", decode_fn=None,
-                    fake: bool = False, concurrency=(1, 4),
-                    batch_size: int = 64, num_cpus: float = 1.0):
-    """Dataset[MEDIA_SCHEMA] -> + media_features fixed_size_list<float32>.
-
-    batch_size defaults SMALL: batches carry the raw payload bytes."""
-    return ds.map_batches(
-        MediaFeaturizer,
-        fn_constructor_kwargs={"media_type": media_type,
-                               "decode_fn": decode_fn, "fake": fake},
-        concurrency=concurrency, batch_size=batch_size, num_cpus=num_cpus,
-        batch_format="pyarrow")
+    return ds.map_batches(featurize, batch_size=FEATURIZE_BATCH_ROWS,
+                          batch_format="pyarrow")
 
 
-class MediaResizer:
-    """Actor-pool stage: resize image payloads to (target_w, target_h).
-
-    Real deployments pass ``resize_fn(payloads, w, h) -> list[bytes]``
-    (loads its codec once per actor); ``fake=True`` installs the
-    deterministic stand-in (even-stride byte subsample / zero-pad to
-    w*h bytes) so the plumbing — metadata rewrite, payload replacement,
-    small-batch actor pool — is exercised end-to-end without PIL."""
-
-    def __init__(self, target_width: int, target_height: int,
-                 resize_fn=None, fake: bool = False):
-        self.w, self.h = int(target_width), int(target_height)
-        if resize_fn is not None:
-            self.resize = resize_fn
-        elif fake:
-            self.resize = self._fake_resize
+def _fake_resize(payloads, w: int, h: int):
+    """Even-stride byte subsample / zero-pad to w*h bytes."""
+    tgt = w * h
+    out = []
+    for p in payloads:
+        b = np.frombuffer(p or b"", np.uint8)
+        if len(b) >= tgt:
+            idx = np.linspace(0, len(b) - 1, tgt).astype(np.int64)
+            out.append(b[idx].tobytes())
         else:
-            raise NotImplementedError(
-                "no image codecs in this environment: pass resize_fn "
-                "or fake=True (deterministic byte-resample stand-in)")
+            out.append(b.tobytes() + b"\x00" * (tgt - len(b)))
+    return out
 
-    def _fake_resize(self, payloads, w: int, h: int):
-        tgt = w * h
-        out = []
-        for p in payloads:
-            b = np.frombuffer(p or b"", np.uint8)
-            if len(b) >= tgt:
-                idx = np.linspace(0, len(b) - 1, tgt).astype(np.int64)
-                out.append(b[idx].tobytes())
-            else:
-                out.append(b.tobytes() + b"\x00" * (tgt - len(b)))
-        return out
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        new_payloads = self.resize(t["payload"].to_pylist(), self.w, self.h)
+def resize_media(ds, *, target_width: int = 64, target_height: int = 64,
+                 resize_fn=None, fake: bool = False):
+    """Dataset[MEDIA_SCHEMA] -> same schema, payload resized + metadata
+    rewritten. ``resize_fn(payloads, w, h) -> list[bytes]`` does the codec
+    work; ``fake=True`` installs the deterministic stand-in (even-stride
+    byte subsample / zero-pad to w*h bytes) so the plumbing — metadata
+    rewrite, payload replacement, small batches — runs end-to-end without
+    PIL."""
+    resize = _codec(resize_fn, fake, _fake_resize, "resize_fn")
+    w, h = int(target_width), int(target_height)
+
+    def rewrite(t: pa.Table) -> pa.Table:
+        new_payloads = resize(t["payload"].to_pylist(), w, h)
         n = len(t)
         t = t.set_column(t.schema.get_field_index("payload"), "payload",
                          pa.array(new_payloads, pa.binary()))
         t = t.set_column(t.schema.get_field_index("meta_width"),
-                         "meta_width", pa.array([self.w] * n, pa.int32()))
+                         "meta_width", pa.array([w] * n, pa.int32()))
         t = t.set_column(t.schema.get_field_index("meta_height"),
-                         "meta_height", pa.array([self.h] * n, pa.int32()))
+                         "meta_height", pa.array([h] * n, pa.int32()))
         return t.set_column(
             t.schema.get_field_index("n_bytes"), "n_bytes",
             pa.array([len(p) for p in new_payloads], pa.int64()))
 
-
-def resize_media(ds, *, target_width: int = 64, target_height: int = 64,
-                 resize_fn=None, fake: bool = False, concurrency=(1, 4),
-                 batch_size: int = 64, num_cpus: float = 1.0):
-    """Dataset[MEDIA_SCHEMA] -> same schema, payload resized + metadata
-    rewritten. Small batches: both old and new payload live in the batch."""
-    return ds.map_batches(
-        MediaResizer,
-        fn_constructor_kwargs={"target_width": target_width,
-                               "target_height": target_height,
-                               "resize_fn": resize_fn, "fake": fake},
-        concurrency=concurrency, batch_size=batch_size, num_cpus=num_cpus,
-        batch_format="pyarrow")
+    return ds.map_batches(rewrite, batch_size=RESIZE_BATCH_ROWS,
+                          batch_format="pyarrow")
 
 
 FRAME_SCHEMA = pa.schema([
@@ -161,39 +137,31 @@ FRAME_SCHEMA = pa.schema([
 ])
 
 
-class FrameSampler:
-    """Actor-pool flat-map stage: video row -> ``n_frames`` image rows.
+def _fake_frames(payload: bytes, n: int):
+    """Slice the payload into ``n`` even byte chunks."""
+    b = payload or b""
+    bounds = np.linspace(0, len(b), n + 1).astype(np.int64)
+    return [b[bounds[i]:bounds[i + 1]] for i in range(n)]
 
-    Real deployments pass ``frames_fn(payload, n) -> list[bytes]`` (ffmpeg
-    handle opened once per actor); ``fake=True`` slices the payload into
-    ``n`` even byte chunks. Non-video rows are dropped (sampling frames
-    from an image makes no sense; filter upstream to keep them)."""
 
-    def __init__(self, n_frames: int = 4, frames_fn=None,
-                 fake: bool = False):
-        self.n_frames = int(n_frames)
-        if frames_fn is not None:
-            self.frames = frames_fn
-        elif fake:
-            self.frames = self._fake_frames
-        else:
-            raise NotImplementedError(
-                "no video codecs in this environment: pass frames_fn "
-                "or fake=True (even byte-chunk stand-in)")
+def sample_frames(ds, *, n_frames: int = 4, frames_fn=None,
+                  fake: bool = False):
+    """Dataset[MEDIA_SCHEMA] (video rows) -> Dataset[FRAME_SCHEMA], one row
+    per sampled frame (a flat-map). ``frames_fn(payload, n) ->
+    list[bytes]`` does the codec work; ``fake=True`` slices the payload
+    into ``n`` even byte chunks. Non-video rows are dropped (sampling
+    frames from an image makes no sense; filter upstream to keep them)."""
+    frames = _codec(frames_fn, fake, _fake_frames, "frames_fn")
+    n_frames = int(n_frames)
 
-    def _fake_frames(self, payload: bytes, n: int):
-        b = payload or b""
-        bounds = np.linspace(0, len(b), n + 1).astype(np.int64)
-        return [b[bounds[i]:bounds[i + 1]] for i in range(n)]
-
-    def __call__(self, t: pa.Table) -> pa.Table:
+    def fan_out(t: pa.Table) -> pa.Table:
         keep = t.filter(pc.equal(t["media_type"], "video"))
         ids, fidx, payloads, ws, hs = [], [], [], [], []
         for mid, p, w, h in zip(keep["media_id"].to_pylist(),
                                 keep["payload"].to_pylist(),
                                 keep["meta_width"].to_pylist(),
                                 keep["meta_height"].to_pylist()):
-            for j, fb in enumerate(self.frames(p, self.n_frames)):
+            for j, fb in enumerate(frames(p, n_frames)):
                 ids.append(mid); fidx.append(j); payloads.append(fb)
                 ws.append(w); hs.append(h)
         return pa.table({
@@ -207,19 +175,8 @@ class FrameSampler:
                                 pa.int64()),
         }, schema=FRAME_SCHEMA)
 
-
-def sample_frames(ds, *, n_frames: int = 4, frames_fn=None,
-                  fake: bool = False, concurrency=(1, 4),
-                  batch_size: int = 16, num_cpus: float = 1.0):
-    """Dataset[MEDIA_SCHEMA] (video rows) -> Dataset[FRAME_SCHEMA], one row
-    per sampled frame. batch_size defaults SMALLER than featurize: output
-    payload volume is ~input volume × n_frames fan-out in rows."""
-    return ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"n_frames": n_frames,
-                               "frames_fn": frames_fn, "fake": fake},
-        concurrency=concurrency, batch_size=batch_size, num_cpus=num_cpus,
-        batch_format="pyarrow")
+    return ds.map_batches(fan_out, batch_size=FRAMES_BATCH_ROWS,
+                          batch_format="pyarrow")
 
 
 def fake_media_table(n: int = 64, seed: int = 3,

@@ -46,16 +46,14 @@ def _normalize_batch(batch: pa.Table) -> pa.Table:
     return batch.append_column("text_norm", normalize_expr(batch["text"]))
 
 
-def normalize_turns(ds, batch_size: int | None = None):
+def normalize_turns(ds):
     """Dataset[transcript turns] -> same + ``text_norm`` column."""
-    return ds.map_batches(_normalize_batch, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(_normalize_batch, batch_format="pyarrow")
 
 
 def clean_documents(ds, *, text_col: str = "text",
                     out_col: str = "text_clean", lowercase: bool = True,
-                    collapse_ws: bool = True, strip: bool = True,
-                    batch_size: int | None = None):
+                    collapse_ws: bool = True, strip: bool = True):
     """Document-corpus cleaner (the curation-side analog of
     ``normalize_turns``): lowercase, collapse whitespace runs (space, tab,
     newline) to one space, trim — each step optional, all vectorized
@@ -74,15 +72,13 @@ def clean_documents(ds, *, text_col: str = "text",
             x = pc.utf8_lower(x)
         return batch.append_column(out_col, x)
 
-    return ds.map_batches(clean, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(clean, batch_format="pyarrow")
 
 
 def canonicalize_for_dedup(ds, *, text_col: str = "text",
                            out_col: str = "text_canon",
                            fold_digits: bool = True,
-                           strip_punct: bool = True,
-                           batch_size: int | None = None):
+                           strip_punct: bool = True):
     """Aggressive canonical form for DEDUP KEYING (CCNet-style
     normalization, Wenzek et al. 2020, public): lowercase → every digit
     run folded to ``0`` → punctuation stripped → whitespace runs
@@ -113,5 +109,4 @@ def canonicalize_for_dedup(ds, *, text_col: str = "text",
         x = pc.utf8_trim_whitespace(x)
         return batch.append_column(out_col, x)
 
-    return ds.map_batches(canon, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(canon, batch_format="pyarrow")

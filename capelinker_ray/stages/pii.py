@@ -36,8 +36,7 @@ PII_PATTERNS: dict[str, tuple[str, str]] = {
 _COMPILED = {k: re.compile(p) for k, (p, _r) in PII_PATTERNS.items()}
 
 
-def add_pii_stats(ds, text_col: str = "text",
-                  batch_size: int | None = None):
+def add_pii_stats(ds, text_col: str = "text"):
     """+ ``n_emails`` / ``n_ips`` / ``n_phones`` int64 match counts."""
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         s = df[text_col].fillna("")
@@ -45,12 +44,11 @@ def add_pii_stats(ds, text_col: str = "text",
         for cat, rx in _COMPILED.items():
             out[f"n_{cat}s"] = s.str.count(rx).astype(np.int64)
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def redact_pii(ds, text_col: str = "text",
-               out_col: str = "text_redacted",
-               batch_size: int | None = None):
+               out_col: str = "text_redacted"):
     """+ ``out_col``: text with every PII match replaced by its placeholder
     (``<EMAIL>``/``<IP>``/``<PHONE>``), categories applied in declaration
     order. Set ``out_col=text_col`` to rewrite in place."""
@@ -61,4 +59,4 @@ def redact_pii(ds, text_col: str = "text",
         out = df.copy()
         out[out_col] = s
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")

@@ -23,7 +23,7 @@ __all__ = ["explode", "regex_extract_rows", "global_topk",
 
 
 def explode(ds, col: str, *, pos_col: str | None = None,
-            keep_empty: bool = False, batch_size: int | None = None):
+            keep_empty: bool = False):
     """One output row per element of the list column ``col`` (other
     columns repeated) — SQL ``unnest``. ``pos_col`` adds the 0-based
     element index (``generate_subscripts`` parity). Null/empty lists
@@ -62,14 +62,12 @@ def explode(ds, col: str, *, pos_col: str | None = None,
         from .grouped import typed_or_empty
         return typed_or_empty(out)
 
-    return ds.map_batches(fn, batch_format="pandas",
-                          batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def regex_extract_rows(ds, col: str, pattern: str, *,
                        out_col: str = "match",
-                       idx_col: str = "match_idx",
-                       batch_size: int | None = None):
+                       idx_col: str = "match_idx"):
     """All non-overlapping matches of ``pattern`` per row, one output row
     per match with its 0-based match index — the log-parsing /
     entity-extraction shape (SQL ``unnest(regexp_extract_all(...))``).
@@ -86,8 +84,8 @@ def regex_extract_rows(ds, col: str, pattern: str, *,
         return sub
 
     from .grouped import typed_or_empty
-    mid = ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
-    out = explode(mid, "_m", pos_col=idx_col, batch_size=batch_size)
+    mid = ds.map_batches(fn, batch_format="pandas")
+    out = explode(mid, "_m", pos_col=idx_col)
 
     def rename(df: pd.DataFrame) -> pd.DataFrame:
         return typed_or_empty(df.rename(columns={"_m": out_col}))
@@ -120,7 +118,7 @@ def global_topk(ds, by, k: int, *, ascending=False):
 
 
 def melt(ds, id_cols, value_cols, *, var_col: str = "variable",
-         val_col: str = "value", batch_size: int | None = None):
+         val_col: str = "value"):
     """Wide -> long unpivot (SQL ``UNPIVOT`` / pandas ``melt``): one
     output row per (input row, value column). Zero shuffle; one
     tile/repeat per batch. Value columns are cast to float64 (the usual
@@ -139,8 +137,7 @@ def melt(ds, id_cols, value_cols, *, var_col: str = "variable",
         out[val_col] = vals.ravel()
         return pd.DataFrame(out)
 
-    return ds.map_batches(fn, batch_format="pandas",
-                          batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def share_of_group(ds, key_cols, val_col: str, *,

@@ -56,7 +56,7 @@ def _term_tf(flat: np.ndarray, rows: np.ndarray, n: int,
 
 def bm25_topk(ds, terms: list[str], *, k: int = 10, text_col: str = "text",
               id_col: str = "doc_id", k1: float = 1.2, b: float = 0.75,
-              round_to: int = 6, batch_size: int | None = None):
+              round_to: int = 6):
     """Dataset[(id, text)] -> Dataset[(id, score, rank)] — the global
     top-``k`` documents by BM25 over ``terms``, ties broken by id asc.
 
@@ -80,8 +80,7 @@ def bm25_topk(ds, terms: list[str], *, k: int = 10, text_col: str = "text",
             out[f"df_{i}"] = [np.int64((tf[i] > 0).sum())]
         return pd.DataFrame(out)
 
-    parts = ds.map_batches(stats_partial, batch_format="pandas",
-                           batch_size=batch_size).take_all()
+    parts = ds.map_batches(stats_partial, batch_format="pandas").take_all()
     n_docs = float(sum(int(r["n_docs"]) for r in parts))
     total_len = float(sum(int(r["total_len"]) for r in parts))
     if n_docs == 0:
@@ -120,8 +119,7 @@ def bm25_topk(ds, terms: list[str], *, k: int = 10, text_col: str = "text",
         df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
         return df
 
-    cand = ds.map_batches(score_partial, batch_format="pandas",
-                          batch_size=batch_size)
+    cand = ds.map_batches(score_partial, batch_format="pandas")
     # <= k+ties rows per batch -> single tiny merge task
     return cand.repartition(1).map_batches(merge, batch_format="pandas")
 

@@ -34,8 +34,7 @@ def _norm_rows(M: np.ndarray) -> np.ndarray:
 
 def brute_force_topk(ds, queries: np.ndarray, *, k: int = 5,
                      vec_col: str = "embedding", id_col: str = "vec_id",
-                     query_ids: np.ndarray | None = None,
-                     batch_size: int | None = None):
+                     query_ids: np.ndarray | None = None):
     """Dataset[(id, vec)] × (q, d) queries -> Dataset[(query_id, vec_id,
     cosine, rank)] with exactly k rows per query (global top-k)."""
     Q = _norm_rows(np.asarray(queries, np.float64))
@@ -64,8 +63,7 @@ def brute_force_topk(ds, queries: np.ndarray, *, k: int = 5,
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
+    partials = ds.map_batches(partial, batch_format="pandas")
     return partials.groupby("query_id").map_groups(merge,
                                                    batch_format="pandas")
 
@@ -109,8 +107,7 @@ def kmeans_centroids(ds, *, vec_col: str = "embedding",
 
 def assign_clusters(ds, centroids: np.ndarray, *,
                     vec_col: str = "embedding",
-                    out_col: str = "cluster_id",
-                    batch_size: int | None = None):
+                    out_col: str = "cluster_id"):
     """Add ``out_col`` = nearest-centroid index (cosine) per row. The
     centroid matrix rides the object store once (``ray.put``)."""
     c_ref = ray.put(_norm_rows(np.asarray(centroids, np.float64)))
@@ -126,14 +123,13 @@ def assign_clusters(ds, centroids: np.ndarray, *,
         df[out_col] = (V @ Cm.T).argmax(axis=1).astype(np.int64)
         return df
 
-    return ds.map_batches(tag, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(tag, batch_format="pandas")
 
 
 def ivf_topk(ds, queries: np.ndarray, *, k: int = 5,
              n_centroids: int | str = "auto",
              n_probe: int = 4, vec_col: str = "embedding",
-             id_col: str = "vec_id", sample_size: int = 2048, seed: int = 7,
-             batch_size: int | None = None):
+             id_col: str = "vec_id", sample_size: int = 2048, seed: int = 7):
     """IVF-style ANN: probe only the n_probe nearest centroid lists.
 
     Centroids/auto-sizing via :func:`kmeans_centroids` (r2 verdict
@@ -155,11 +151,9 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 5,
         # prune rows in lists no query probes (the IVF scan saving)
         return df[df["_ivf"].isin(wanted)]
 
-    pruned = ds.map_batches(assign_bucket, batch_format="pandas",
-                            batch_size=batch_size)
+    pruned = ds.map_batches(assign_bucket, batch_format="pandas")
     return brute_force_topk(pruned.drop_columns(["_ivf"]), Q, k=k,
-                            vec_col=vec_col, id_col=id_col,
-                            batch_size=batch_size)
+                            vec_col=vec_col, id_col=id_col)
 
 
 def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
@@ -167,7 +161,6 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
              n_centroids: int | str = "auto", n_probe: int = 4,
              seed: int = 7, round_decimals: int = 9,
              max_broadcast_bytes: int = 1 << 31,
-             batch_size: int | None = None,
              num_partitions: int | None = None):
     """Self k-nearest-neighbor join: for every row, its top-``k`` cosine
     neighbors among all OTHER rows — the build step of any embedding
@@ -242,8 +235,7 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
                 "rnk": np.tile(np.arange(1, kk + 1, dtype=np.int64),
                                len(q))})
 
-        return ds.map_batches(nbrs, batch_format="pandas",
-                              batch_size=batch_size)
+        return ds.map_batches(nbrs, batch_format="pandas")
 
     # ---- IVF path: bucket rows, replicate queries to n_probe lists ----
     from .grouped import grouped_map
@@ -268,8 +260,7 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
             "_member": (lists == home[:, None]).ravel()})
         return out
 
-    fanned = ds.map_batches(fan, batch_format="pandas",
-                            batch_size=batch_size)
+    fanned = ds.map_batches(fan, batch_format="pandas")
 
     def in_list(frame: pd.DataFrame) -> pd.DataFrame:
         from .grouped import typed_or_empty

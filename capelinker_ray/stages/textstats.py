@@ -40,7 +40,7 @@ _STOPWORDS = {
 }
 
 
-def add_token_counts(ds, text_col: str = "text", batch_size: int | None = None):
+def add_token_counts(ds, text_col: str = "text"):
     """+ ``n_ws_tokens`` (whitespace) and ``n_bpe_tokens`` (regex pieces)."""
     def fn(t: pa.Table) -> pa.Table:
         ws = pc.list_value_length(pc.split_pattern_regex(
@@ -56,10 +56,10 @@ def add_token_counts(ds, text_col: str = "text", batch_size: int | None = None):
         t = t.append_column("n_ws_tokens", ws.cast(pa.int64()))
         t = t.append_column("n_bpe_tokens", pa.array(bpe, pa.int64()))
         return t
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def add_quality_score(ds, text_col: str = "text", batch_size: int | None = None):
+def add_quality_score(ds, text_col: str = "text"):
     """+ quality components and a composite ``quality`` in [0,1].
 
     Components: mean word length sanity, stopword ratio, alpha ratio,
@@ -108,7 +108,7 @@ def add_quality_score(ds, text_col: str = "text", batch_size: int | None = None)
         out["uniq_ratio"] = uniq_ratio
         out["quality"] = score
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 # tiny trigram profiles (hand-picked frequent trigrams; heuristic lang-id)
@@ -119,7 +119,7 @@ _LANG_PROFILES = {
 }
 
 
-def add_lang_id(ds, text_col: str = "text", batch_size: int | None = None):
+def add_lang_id(ds, text_col: str = "text"):
     """+ ``lang_pred``: argmax trigram-profile hit rate ('und' if no signal)."""
     profiles = {k: set(v) for k, v in _LANG_PROFILES.items()}
 
@@ -137,7 +137,7 @@ def add_lang_id(ds, text_col: str = "text", batch_size: int | None = None):
         out = df.copy()
         out["lang_pred"] = np.where(has, np.array(langs, dtype=object)[best], "und")
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
@@ -162,7 +162,7 @@ def fnv1a_64(strings) -> np.ndarray:
     return h
 
 
-def add_fingerprint(ds, text_col: str = "text", batch_size: int | None = None):
+def add_fingerprint(ds, text_col: str = "text"):
     """+ ``fingerprint``: int64 FNV-1a hash of whitespace-normalized text —
     the exact-dedup / shard-lineage key (deterministic, content-addressed)."""
     def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -170,11 +170,10 @@ def add_fingerprint(ds, text_col: str = "text", batch_size: int | None = None):
         out = df.copy()
         out["fingerprint"] = fnv1a_64(norm.tolist()).astype(np.int64)
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
-def add_repetition_stats(ds, text_col: str = "text",
-                         batch_size: int | None = None):
+def add_repetition_stats(ds, text_col: str = "text"):
     """+ Gopher-style repetition signals per document (Rae et al. 2021
     §A1.1-style duplicate-fraction filters, word-level):
 
@@ -225,12 +224,11 @@ def add_repetition_stats(ds, text_col: str = "text",
             out["top_bigram_frac"] = np.where(n_big > 0, top_big
                                               / np.maximum(n_big, 1), 0.0)
         return out
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def hash_embed(ds, *, text_col: str = "text", out_col: str = "embedding",
-               dim: int = 64, normalize: bool = True,
-               batch_size: int | None = None):
+               dim: int = 64, normalize: bool = True):
     """Feature-hashing document embedding (the hashing trick, Weinberger
     et al. ICML'09): token -> bucket ``fnv1a(token) % dim`` with sign from
     hash bit 32, summed per doc — a deterministic, training-free dense
@@ -265,13 +263,11 @@ def hash_embed(ds, *, text_col: str = "text", out_col: str = "embedding",
         df[out_col] = list(M.astype(np.float32))
         return df
 
-    return ds.map_batches(embed, batch_format="pandas",
-                          batch_size=batch_size)
+    return ds.map_batches(embed, batch_format="pandas")
 
 
 def add_char_entropy(ds, text_col: str = "text",
-                     out_col: str = "char_entropy",
-                     batch_size: int | None = None):
+                     out_col: str = "char_entropy"):
     """+ ``out_col``: Shannon entropy (bits) of the character distribution
     of each document — the distribution-free gibberish/boilerplate signal
     (near-zero entropy = repeated filler; very high = random bytes).
@@ -299,14 +295,13 @@ def add_char_entropy(ds, text_col: str = "text",
         out[out_col] = ent
         return out
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def add_blocklist_stats(ds, terms, *, text_col: str = "text",
                         count_col: str = "blocklist_hits",
                         flag_col: str = "blocklist_flag",
-                        threshold: int = 1,
-                        batch_size: int | None = None):
+                        threshold: int = 1):
     """+ ``count_col`` (total case-insensitive occurrences of any
     blocklist term) and ``flag_col`` (hits >= ``threshold``) — the
     dictionary safety/spam filter of a curation pipeline (the C4 'bad
@@ -331,14 +326,13 @@ def add_blocklist_stats(ds, terms, *, text_col: str = "text",
         out[flag_col] = hits >= threshold
         return out
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def chunk_documents(ds, *, id_col: str = "doc_id", text_col: str = "text",
                     chunk_chars: int = 512, overlap: int = 64,
                     chunk_col: str = "chunk_text",
-                    idx_col: str = "chunk_idx",
-                    batch_size: int | None = None):
+                    idx_col: str = "chunk_idx"):
     """Split documents into fixed-width character chunks with overlap —
     the context-window packing / RAG-chunking pass. Emits one row per
     chunk: (id, ``idx_col``, ``chunk_col``).
@@ -373,13 +367,12 @@ def chunk_documents(ds, *, id_col: str = "doc_id", text_col: str = "text",
             idx_col: cidx,
             chunk_col: pd.Series(chunks, dtype=object)})
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def add_compression_ratio(ds, text_col: str = "text",
                           out_col: str = "compression_ratio",
-                          level: int = 6,
-                          batch_size: int | None = None):
+                          level: int = 6):
     """Per-document DEFLATE compression ratio ``compressed_bytes /
     raw_utf8_bytes`` — the repetition/boilerplate quality signal used by
     public web-curation recipes (highly repetitive or templated text
@@ -405,12 +398,11 @@ def add_compression_ratio(ds, text_col: str = "text",
         df[out_col] = np.round(out, 6)
         return df
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pandas")
 
 
 def add_script_stats(ds, text_col: str = "text",
-                     scripts: tuple = ("Latin", "Han", "Cyrillic", "Arabic"),
-                     batch_size: int | None = None):
+                     scripts: tuple = ("Latin", "Han", "Cyrillic", "Arabic")):
     """Per-document Unicode-SCRIPT composition: for each named script a
     ``<script,lower>_frac`` column (fraction of the doc's codepoints in
     that script) plus ``n_cp`` — the script-routing signal that decides
@@ -439,5 +431,4 @@ def add_script_stats(ds, text_col: str = "text",
             out = out.append_column(f"{sc.lower()}_frac", frac)
         return out
 
-    return ds.map_batches(fn, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pyarrow")

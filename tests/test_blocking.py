@@ -122,3 +122,41 @@ def test_broadcast_jw_candidates(ray_session):
     real = out[out["persid_to"].notna()]
     assert {(r.persid_from, r.persid_to) for r in real.itertuples()} == {(1, 1), (1, 2), (2, 3)}
     assert set(out.loc[out["persid_to"].isna(), "persid_from"]) == {3}
+
+
+def test_hash_shuffle_pairs_parity(ray_session, monkeypatch):
+    """The pair exchange runs Ray's hash shuffle above
+    grouped.HASH_SHUFFLE_MIN_ROWS tagged rows and the sort shuffle below.
+    A zero gate forces the hash shuffle, which must give the default
+    path's pairs and features: self-link and two-sided, with salted hot
+    blocks."""
+    from capelinker_ray import synth
+    from capelinker_ray.pipelines.linkage import PAIR_ATTR_COLS
+    from capelinker_ray.stages import grouped
+    from capelinker_ray.stages.conv_records import build_conv_records
+    from capelinker_ray.stages.features import add_pair_features
+    from capelinker_ray.stages.normalize import normalize_turns
+
+    turns, _ = synth.gen_corpus(n_entities=60, seed=7, hot_frac=0.1)
+    recs = build_conv_records(
+        normalize_turns(rd.from_arrow(turns))).to_pandas()
+    side = np.arange(len(recs)) % 2 == 0
+    kw = dict(block_col="block_key", id_col="conv_id",
+              attr_cols=PAIR_ATTR_COLS, max_block_pairs=50)
+    keys = ["conv_id_from", "conv_id_to"]
+
+    def run():
+        self_link = candidates(rd.from_pandas(recs), None,
+                               keep_unmatched=False, **kw)
+        two_sided = candidates(rd.from_pandas(recs[side]),
+                               rd.from_pandas(recs[~side]), **kw)
+        return [add_pair_features(c).to_pandas().sort_values(keys)
+                .reset_index(drop=True) for c in (self_link, two_sided)]
+
+    default = run()
+    monkeypatch.setattr(grouped, "HASH_SHUFFLE_MIN_ROWS", 0)
+    hashed = run()
+    assert len(default[0]) > 0
+    assert default[1]["conv_id_to"].notna().any()
+    for a, b in zip(default, hashed):
+        pd.testing.assert_frame_equal(a, b[a.columns])

@@ -25,17 +25,24 @@ def test_cc_chain_and_components(ray_session):
                   "z": "a", "d": "d", "e": "d"}
 
 
-def test_cc_long_path_converges(ray_session):
-    # an 8-node path: worst case for hash-min iterations; forces the
-    # DISTRIBUTED strategy (pointer doubling -> O(log n) rounds)
+def test_cc_long_path_converges(ray_session, monkeypatch):
+    # an 8-node path: worst case for hash-min iterations. A zero edge gate
+    # forces the DISTRIBUTED path (pointer doubling -> O(log n) rounds),
+    # which must agree with the default driver union-find.
+    from capelinker_ray.stages import cluster
     nodes = [f"n{i:02d}" for i in range(8)]
-    links = rd.from_items([{"conv_id_from": nodes[i], "conv_id_to": nodes[i + 1]}
-                           for i in range(7)])
+    rows = [{"conv_id_from": nodes[i], "conv_id_to": nodes[i + 1]}
+            for i in range(7)]
+    rows += [{"conv_id_from": "p", "conv_id_to": "q"}]
+    driver = {r["node"]: r["entity_id"]
+              for r in connected_components(rd.from_items(rows)).take_all()}
+    monkeypatch.setattr(cluster, "DRIVER_EDGE_MAX", 0)
     cc = {r["node"]: r["entity_id"]
-          for r in connected_components(links,
-                                        strategy="distributed").take_all()}
-    assert set(cc.values()) == {"n00"}
-    assert len(cc) == 8
+          for r in connected_components(rd.from_items(rows)).take_all()}
+    assert {cc[n] for n in nodes} == {"n00"}
+    assert cc["p"] == cc["q"] == "p"
+    assert len(cc) == 10
+    assert cc == driver
 
 
 def test_attach_entity_singletons(ray_session):

@@ -173,14 +173,18 @@ def test_embedding_lsh_path(ray_session):
     assert len(got) >= 0.9 * len(ex) > 0  # multi-table recall
 
 
-def test_minhash_payload_modes_identical(ray_session):
+def test_minhash_payload_modes_identical(ray_session, monkeypatch):
     """inline vs rejoin LSH shuffle layouts must return identical pairs +
-    estimates (r2 verdict: adaptive minhash shuffle for the 100-TB path)."""
+    estimates (r2 verdict: adaptive minhash shuffle for the 100-TB path).
+    The default gate takes the inline layout here; a zero gate forces the
+    rejoin one."""
+    from capelinker_ray.stages import dedup
     df = _corpus()
     outs = {}
-    for mode in ("inline", "rejoin"):
-        out = minhash_lsh_dedup(rd.from_pandas(df), jaccard_threshold=0.5,
-                                payload_mode=mode).to_pandas()
+    for mode, gate in (("inline", dedup.REJOIN_MIN_DOCS), ("rejoin", 0)):
+        monkeypatch.setattr(dedup, "REJOIN_MIN_DOCS", gate)
+        out = minhash_lsh_dedup(rd.from_pandas(df),
+                                jaccard_threshold=0.5).to_pandas()
         outs[mode] = (out.sort_values(["id_from", "id_to"])
                       .reset_index(drop=True)
                       [["id_from", "id_to", "est_jaccard"]])
@@ -225,9 +229,10 @@ def test_segment_dedup_removes_hot_windows(ray_session):
     assert list(out["doc_id"]) == [0, 1, 2, 3, 4]
 
 
-def test_segment_dedup_fallback_path_identical(ray_session):
-    """The distributed explode+join+reassemble fallback (forced via
-    broadcast_threshold=0) must reproduce the broadcast path exactly."""
+def test_segment_dedup_fallback_path_identical(ray_session, monkeypatch):
+    """The distributed explode+join+reassemble fallback (forced by a zero
+    HOT_SET_BROADCAST_MAX) must reproduce the broadcast path exactly."""
+    from capelinker_ray.stages import dedup
     from capelinker_ray.stages.dedup import segment_dedup
     rng = np.random.default_rng(11)
     vocab = [f"w{i}" for i in range(30)]
@@ -238,7 +243,8 @@ def test_segment_dedup_fallback_path_identical(ray_session):
     kw = dict(words_per_seg=8, max_count=2)
     a = (segment_dedup(rd.from_pandas(df), **kw)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (segment_dedup(rd.from_pandas(df), broadcast_threshold=0, **kw)
+    monkeypatch.setattr(dedup, "HOT_SET_BROADCAST_MAX", 0)
+    b = (segment_dedup(rd.from_pandas(df), **kw)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert (a["n_removed"] > 0).any()
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
@@ -398,7 +404,9 @@ def test_dup_spans_within_doc_repeat_not_flagged(ray_session):
     assert len(out) == 0
 
 
-def test_dup_spans_fallback_path_identical(ray_session):
+def test_dup_spans_fallback_path_identical(ray_session, monkeypatch):
+    # a zero HOT_SET_BROADCAST_MAX forces the distributed island merge
+    from capelinker_ray.stages import dedup
     from capelinker_ray.stages.dedup import dup_spans
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(25)]
@@ -410,7 +418,8 @@ def test_dup_spans_fallback_path_identical(ray_session):
     cols = ["doc_id", "span_start", "span_end", "n_windows"]
     a = (dup_spans(rd.from_pandas(df), **kw).to_pandas()[cols]
          .sort_values(cols).reset_index(drop=True))
-    b = (dup_spans(rd.from_pandas(df), broadcast_threshold=0, **kw)
+    monkeypatch.setattr(dedup, "HOT_SET_BROADCAST_MAX", 0)
+    b = (dup_spans(rd.from_pandas(df), **kw)
          .to_pandas()[cols].sort_values(cols).reset_index(drop=True))
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b, check_dtype=False)

@@ -1,6 +1,8 @@
 """Windowed-aggregate oracles: sessionize gap semantics, tumbling windows
 via partial aggregation."""
 
+import collections
+
 import numpy as np
 import pandas as pd
 import ray.data as rd
@@ -43,9 +45,17 @@ def test_session_stats(ray_session):
 
 
 def test_tumbling_window_matches_pandas(ray_session):
+    import ray
     df = _events()
-    out = tumbling_window_agg(rd.from_pandas(df), window_minutes=60,
-                              batch_size=2).to_pandas()
+    # several blocks, one partial row per (user, window) per block: the
+    # merge must add partials of a group that spans blocks
+    ds = rd.from_pandas(df).repartition(4).materialize()
+    blocks = ray.get(ds.to_pandas_refs())
+    span = collections.Counter(
+        k for b in blocks
+        for k in set(zip(b["user_id"], b["ts"].dt.floor("60min"))))
+    assert max(span.values()) >= 2
+    out = tumbling_window_agg(ds, window_minutes=60).to_pandas()
     ts_us = df["ts"].astype("datetime64[ns]").astype("int64") // 1000
     exp = (df.assign(window=(ts_us // (60 * _MIN_US)))
            .groupby(["user_id", "window"])

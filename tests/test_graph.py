@@ -51,14 +51,18 @@ def test_pagerank_matches_numpy_reference(ray_session):
     assert (hub > m.loc[m["node"] != 0, "rank"]).all()
 
 
-def test_pagerank_strategy_parity(ray_session):
+def test_pagerank_strategy_parity(ray_session, monkeypatch):
+    # the default broadcast path against the distributed one, forced by a
+    # zero node gate
+    from capelinker_ray.stages import graph
     rng = np.random.default_rng(3)
     edges = pd.DataFrame({
         "src": rng.integers(0, 50, 400).astype(np.int64),
         "dst": rng.integers(0, 50, 400).astype(np.int64)})
     ds = rd.from_pandas(edges)
-    b = pagerank(ds, strategy="broadcast", iters=4).to_pandas()
-    d = pagerank(ds, strategy="distributed", iters=4).to_pandas()
+    b = pagerank(ds, iters=4).to_pandas()
+    monkeypatch.setattr(graph, "BROADCAST_NODES_MAX", 0)
+    d = pagerank(ds, iters=4).to_pandas()
     b = b.sort_values("node").reset_index(drop=True)
     d = d.sort_values("node").reset_index(drop=True)
     assert (b["node"] == d["node"]).all()

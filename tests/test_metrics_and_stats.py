@@ -71,10 +71,21 @@ def test_normalise_column(ray_session):
 
 
 def test_uniformise_column(ray_session):
-    df = pd.DataFrame({"s": ["smith", "smith", "smyth", "jones"]})
-    out = uniformise_column(rd.from_pandas(df), "s", maxdist=0.2).to_pandas()
-    vals = set(out["s_uniform"])
-    assert "jones" in vals and len(vals) == 2  # smyth absorbed into smith
+    df = pd.DataFrame({"id": range(6),
+                       "s": ["smith", "smith", "smyth", "jones", None, 7]})
+    out = (uniformise_column(rd.from_pandas(df), "s", maxdist=0.2)
+           .to_pandas().sort_values("id"))
+    # smyth absorbed into smith; None and the non-string map to None
+    assert out["s_uniform"].tolist() == ["smith", "smith", "smith",
+                                         "jones", None, None]
+    # the mapping covers every string of the column, so the map-back of
+    # a string it lacks (the string keeps itself) is checked directly
+    from capelinker_ray.stages.corpus_stats import _map_strings
+    vals = pd.Series(["smyth", None, 7, "unmapped", float("nan"), "smyth"],
+                     dtype=object)
+    got = _map_strings(vals, {"smyth": "smith"})
+    assert got.tolist() == ["smith", None, None, "unmapped", None, "smith"]
+    assert _map_strings(pd.Series([], dtype=object), {}).tolist() == []
 
 
 def test_add_group_uniqueness(ray_session):

@@ -7,7 +7,7 @@ import ray.data as rd
 
 from capelinker_ray.stages.features import distcalc
 from capelinker_ray.stages.multimodal import (
-    MediaFeaturizer, N_FEATURES, fake_media_table, featurize_media,
+    N_FEATURES, fake_media_table, featurize_media,
 )
 from capelinker_ray.stages.preflight import preflight
 
@@ -32,31 +32,33 @@ def test_preflight_model_variable_check(ray_session):
 
 def test_media_featurize_fake(ray_session):
     ds = rd.from_arrow(fake_media_table(n=16, seed=3))
-    out = featurize_media(ds, fake=True, concurrency=(1, 2)).to_pandas()
+    out = featurize_media(ds, fake=True).to_pandas()
     assert len(out) == 16
     feats = np.stack(out["media_features"].to_numpy())
     assert feats.shape == (16, N_FEATURES)
     np.testing.assert_allclose(feats.sum(axis=1), 1.0, atol=1e-5)
 
 
-def test_media_featurize_stub_raises():
+def test_media_featurize_stub_raises(ray_session):
+    # raises at the call, before any task runs
+    ds = rd.from_arrow(fake_media_table(n=4, seed=3))
     with pytest.raises(NotImplementedError):
-        MediaFeaturizer(fake=False)
+        featurize_media(ds, fake=False)
 
 
 def test_media_resize_fake(ray_session):
     from capelinker_ray.stages.multimodal import resize_media
     ds = rd.from_arrow(fake_media_table(n=12, seed=3))
-    out = resize_media(ds, target_width=8, target_height=4, fake=True,
-                       concurrency=(1, 2)).to_pandas()
+    out = resize_media(ds, target_width=8, target_height=4,
+                       fake=True).to_pandas()
     assert len(out) == 12
     assert (out["meta_width"] == 8).all() and (out["meta_height"] == 4).all()
     assert (out["n_bytes"] == 32).all()
     assert out["payload"].map(len).eq(32).all()
     # deterministic: same input -> same resized bytes
     out2 = resize_media(rd.from_arrow(fake_media_table(n=12, seed=3)),
-                        target_width=8, target_height=4, fake=True,
-                        concurrency=(1, 2)).to_pandas()
+                        target_width=8, target_height=4,
+                        fake=True).to_pandas()
     a = out.sort_values("media_id")["payload"].tolist()
     b = out2.sort_values("media_id")["payload"].tolist()
     assert a == b
@@ -67,8 +69,8 @@ def test_media_sample_frames_fake(ray_session):
     tbl = fake_media_table(n=15, seed=3, with_video=True)
     n_video = sum(1 for t in tbl["media_type"].to_pylist() if t == "video")
     assert n_video == 3
-    out = sample_frames(rd.from_arrow(tbl), n_frames=4, fake=True,
-                        concurrency=(1, 2)).to_pandas()
+    out = sample_frames(rd.from_arrow(tbl), n_frames=4,
+                        fake=True).to_pandas()
     # one image row per (video, frame); non-video rows dropped
     assert len(out) == n_video * 4
     assert (out["media_type"] == "image").all()
@@ -83,12 +85,13 @@ def test_media_sample_frames_fake(ray_session):
         assert joined == orig[mid]
 
 
-def test_media_frame_sampler_stub_raises():
-    from capelinker_ray.stages.multimodal import FrameSampler, MediaResizer
+def test_media_frame_sampler_stub_raises(ray_session):
+    from capelinker_ray.stages.multimodal import resize_media, sample_frames
+    ds = rd.from_arrow(fake_media_table(n=5, seed=3, with_video=True))
     with pytest.raises(NotImplementedError):
-        FrameSampler(fake=False)
+        sample_frames(ds, fake=False)
     with pytest.raises(NotImplementedError):
-        MediaResizer(8, 8, fake=False)
+        resize_media(ds, target_width=8, target_height=8, fake=False)
 
 
 def test_distcalc_reference_semantics(ray_session):

@@ -93,8 +93,8 @@ def test_score_pairs_parity_all_model_forms(ray_session, tmp_path):
     for model, art, feats in cases:
         df = pd.DataFrame(feats, columns=art["feature_names"])
         df["row"] = np.arange(len(df))
-        out = score_pairs(rd.from_pandas(df).repartition(4), model,
-                          batch_size=64).to_pandas().sort_values("row")
+        out = score_pairs(rd.from_pandas(df).repartition(4),
+                          model).to_pandas().sort_values("row")
         np.testing.assert_allclose(out["pred"].to_numpy(),
                                    predict_ensemble(art, feats), rtol=1e-12)
 
@@ -113,5 +113,5 @@ def test_scorer_missing_feature_routes_default(ray_session, tmp_path):
     save_artifact(m.artifact(), path)
     # drop a feature column entirely: scorer must feed NaN, not crash
     df = pd.DataFrame(X[:, :3], columns=["f0", "f1", "f2"])
-    out = score_pairs(rd.from_pandas(df), path, batch_size=128).to_pandas()
+    out = score_pairs(rd.from_pandas(df), path).to_pandas()
     assert not out["pred"].isna().any()
