@@ -25,7 +25,7 @@ from ray.data.aggregate import Sum
 from .. import synth
 from ..kernels.strdist import jaro_winkler_sim
 from ..stages.blocking import candidates
-from ..stages.cluster import connected_components
+from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records
 from ..stages.dedup import minhash_lsh_dedup, simhash_signatures
 from ..stages.events import sessionize
@@ -497,7 +497,7 @@ def q_clean_documents(sf_dir: str):
 
 def sql_clean_documents(sf_dir: str) -> str:
     return ("SELECT doc_id, lower(trim(regexp_replace(coalesce(text, ''), "
-            "'\s+', ' ', 'g'))) AS text_clean FROM documents")
+            r"'\s+', ' ', 'g'))) AS text_clean FROM documents")
 
 
 def q_doc_token_stats(sf_dir: str):
@@ -978,7 +978,6 @@ def q_incremental_assign_rule(sf_dir: str):
     adoption / min-conv minting — but with the SQL-expressible JW rule
     (the entity_clusters_rule formula) in place of the GBT scorer, so the
     whole assignment is value-exact against DuckDB."""
-    from ..stages.join import hash_join
     from .incremental import assign_to_entities
     path = ensure_transcripts(sf_dir)
     turns = _rpc(path)
@@ -999,18 +998,8 @@ def q_incremental_assign_rule(sf_dir: str):
             s[s["pred"] >= 0.92][["conv_id_from", "conv_id_to"]])
     cc = connected_components(bpairs.map_batches(bthr, batch_format="pandas"),
                               id_from="conv_id_from", id_to="conv_id_to")
-    joined = hash_join(base_records.select_columns(["conv_id"]), cc,
-                       on="conv_id", right_on="node", how="left")
-
-    def fill_ent(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"conv_id": pd.Series(dtype=object),
-                                 "entity_id": pd.Series(dtype=object)})
-        return pd.DataFrame({
-            "conv_id": df["conv_id"],
-            "entity_id": df["entity_id"].where(df["entity_id"].notna(),
-                                               df["conv_id"])})
-    base_ents = joined.map_batches(fill_ent, batch_format="pandas")
+    base_ents = attach_entity_ids(base_records.select_columns(["conv_id"]),
+                                  cc)
 
     res = assign_to_entities(new, base_records, base_ents,
                              minimum_confidence=0.8, blocktype="equality",
@@ -4680,10 +4669,13 @@ WHERE doc_id % 2 = 1
 
 def build_queries() -> dict:
     return {
-        # Ordered for driver evidence rotation (r5): the driver snapshots the
-        # FIRST 50 entries; r3+r4 covered 80 of 120, so the 40 never-driver-
-        # checked queries come first, then the r3-only (oldest-evidence) block,
-        # then the r4-green block. All 120 pass scripts/check_oracle.py locally.
+        # Ordered for driver evidence rotation: the driver snapshots the
+        # FIRST 50 entries, so the queries with the oldest (or no) driver
+        # evidence come first. All 134 pass scripts/check_oracle.py.
+        "script_stats": q_script_stats,
+        "dedup_keep_best": q_dedup_keep_best,
+        "incremental_minhash": q_incremental_minhash,
+        "compression_ratio": q_compression_ratio,
         "interval_join": q_interval_join,
         "incremental_assign_rule": q_incremental_assign_rule,
         "dup_spans": q_dup_spans,
@@ -4735,12 +4727,8 @@ def build_queries() -> dict:
         "lineitem_cube": q_lineitem_cube,
         "cooccurrence": q_cooccurrence,
         "dedup_canonical": q_dedup_canonical,
-        "script_stats": q_script_stats,
-        "dedup_keep_best": q_dedup_keep_best,
-        "incremental_minhash": q_incremental_minhash,
         # rows-only (no SQL twin) -> placed after the oracle-backed
         # r5 block so driver slots go to value-exact checks first
-        "compression_ratio": q_compression_ratio,
         "numeric_band": q_numeric_band,
         "embedding_dup": q_embedding_dup,
         "bigram_candidates": q_bigram_candidates,

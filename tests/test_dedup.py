@@ -95,8 +95,8 @@ def test_simhash_pairs_exact_recall(ray_session):
                             bands=8).to_pandas()
     sigs = simhash_signatures(rd.from_pandas(df)).to_pandas()
     s = sigs.set_index("doc_id")["simhash"].to_dict()
-    ham = lambda a, b: bin((np.uint64(a) ^ np.uint64(b)) &
-                           np.uint64(2**64 - 1)).count("1")
+    # Python ints: mask the int64 XOR to its 64-bit two's-complement form
+    ham = lambda a, b: bin((int(a) ^ int(b)) & (2**64 - 1)).count("1")
     ids = sorted(s)
     exp = sorted((a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
                  if ham(s[a], s[b]) <= 6)

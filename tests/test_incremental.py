@@ -1,6 +1,7 @@
 """Incremental assignment of new conversations to a frozen entity table."""
 
 import pandas as pd
+import pytest
 import ray.data as rd
 
 from capelinker_ray import synth
@@ -58,20 +59,106 @@ def test_assign_to_entities_recovers_holdout(ray_session):
 def test_assign_no_batch_linking_mints_singletons(ray_session):
     turns, truth = synth.gen_corpus(n_entities=40, seed=23)
     turns_pd = turns.to_pandas()
-    convs = sorted(turns_pd["conv_id"].unique())
-    held = convs[:6]
+    # one conversation per entity: the batch holds no in-batch links
+    held = sorted(truth.to_pandas().groupby("entity_id")["conv_id"]
+                  .min())[:6]
     new_pd = turns_pd[turns_pd["conv_id"].isin(held)]
     base_pd = turns_pd[~turns_pd["conv_id"].isin(held)]
     base_out = link_transcripts(rd.from_pandas(base_pd),
                                 checkpoint_dir=None, sort_output=False)
     res = assign_to_entities(rd.from_pandas(new_pd),
-                             base_out["records"], base_out["entities"],
-                             link_within_batch=False)
+                             base_out["records"], base_out["entities"])
+    assert res["links_within"].count() == 0
     asg = res["assignments"].to_pandas()
     assert sorted(asg["conv_id"]) == held
     minted = asg[~asg["matched"]]
-    # without in-batch linking every unmatched conv is its own entity
+    # without in-batch links every unmatched conv is its own entity
     assert (minted["entity_id"] == minted["conv_id"]).all()
+
+
+def _truth_scorer(true_of: dict):
+    """Rule scorer: 1.0 for a pair of the same true entity, else 0.0, so
+    the test's split alone decides which links exist."""
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        same = (df["conv_id_from"].map(true_of)
+                == df["conv_id_to"].map(true_of))
+        out = df[["conv_id_from", "conv_id_to"]].copy()
+        out["pred"] = same.astype(float)
+        return out
+    return score
+
+
+def _reference_assignments(new_ids, links_nb, links_ww, base_ent):
+    """One row per new conversation: the min base entity matched by its
+    in-batch component, else the component's min conv_id."""
+    root = {c: c for c in new_ids}
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+    for a, b in zip(links_ww["conv_id_from"], links_ww["conv_id_to"]):
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)      # a root is its set's min id
+    comp = pd.DataFrame({"conv_id": new_ids,
+                         "comp": [find(c) for c in new_ids]})
+    ent_of = dict(zip(base_ent["conv_id"], base_ent["entity_id"]))
+    hits = comp.merge(pd.DataFrame({
+        "conv_id": links_nb["conv_id_from"],
+        "base": links_nb["conv_id_to"].map(ent_of)}), on="conv_id")
+    comp["base"] = comp["comp"].map(hits.groupby("comp")["base"].min())
+    return pd.DataFrame({
+        "conv_id": comp["conv_id"],
+        "entity_id": comp["base"].fillna(comp["comp"]),
+        "matched": comp["base"].notna()})
+
+
+@pytest.mark.parametrize("case,checkpoint", [
+    ("no_base_match", False), ("no_in_batch", False), ("neither", False),
+    ("neither", True)])
+def test_assign_zero_link_cases(ray_session, tmp_path, case, checkpoint):
+    """Empty link stages (pinned or checkpointed) still give one
+    assignment per new conversation, equal to a pandas reference."""
+    from capelinker_ray.stages.conv_records import build_conv_records
+    from capelinker_ray.stages.normalize import normalize_turns
+    turns, truth = synth.gen_corpus(n_entities=40, seed=29)
+    turns_pd, tdf = turns.to_pandas(), truth.to_pandas()
+    groups = tdf.groupby("entity_id")["conv_id"].apply(sorted)
+    multi = [v for v in groups if len(v) >= 2][:8]
+    if case == "no_base_match":      # whole entities: siblings only in-batch
+        held, gone = [c for v in multi for c in v], []
+    elif case == "no_in_batch":      # one conv of each: siblings in the base
+        held, gone = [v[0] for v in multi], []
+    else:                            # one conv of each, siblings dropped
+        held, gone = [v[0] for v in multi], [c for v in multi for c in v[1:]]
+    held = sorted(held)
+    new_pd = turns_pd[turns_pd["conv_id"].isin(held)]
+    base_pd = turns_pd[~turns_pd["conv_id"].isin(held + gone)]
+    base_records = build_conv_records(
+        normalize_turns(rd.from_pandas(base_pd))).materialize()
+    base_ent = pd.DataFrame({
+        "conv_id": tdf["conv_id"],
+        "entity_id": "e" + tdf["entity_id"].astype(str)})
+    base_ent = base_ent[base_ent["conv_id"].isin(base_pd["conv_id"])]
+
+    res = assign_to_entities(
+        rd.from_pandas(new_pd), base_records, rd.from_pandas(base_ent),
+        score_fn=_truth_scorer(dict(zip(tdf["conv_id"], tdf["entity_id"]))),
+        attr_cols=["first_text_norm"],
+        checkpoint_dir=str(tmp_path / "ck") if checkpoint else None)
+    # to_pandas of a zero-row Dataset can come back column-less
+    links_nb, links_ww = (
+        res[k].to_pandas().reindex(columns=["conv_id_from", "conv_id_to"])
+        for k in ("links_new_base", "links_within"))
+    assert (len(links_nb) > 0) == (case == "no_in_batch")
+    assert (len(links_ww) > 0) == (case == "no_base_match")
+
+    got = (res["assignments"].to_pandas()
+           .sort_values("conv_id").reset_index(drop=True))
+    want = _reference_assignments(held, links_nb, links_ww, base_ent)
+    got["matched"] = got["matched"].astype(bool)
+    pd.testing.assert_frame_equal(got[["conv_id", "entity_id", "matched"]],
+                                  want, check_dtype=False)
 
 
 def test_assign_checkpoint_resume_identical(ray_session, tmp_path):
@@ -97,6 +184,10 @@ def test_assign_checkpoint_resume_identical(ray_session, tmp_path):
     a2 = (r2["assignments"].to_pandas()
           .sort_values("conv_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a1, a2)
+    # the resumed run's lineage still lists every stage
+    assert [(m["stage"], m["resumed"]) for m in r2["metrics"]] == [
+        (s, True) for s in ("inc_records", "inc_links_nb", "inc_links_ww",
+                            "inc_assignments")]
 
 
 def test_incremental_assign_rule_matches_duckdb(ray_session):
@@ -125,9 +216,10 @@ def test_incremental_assign_rule_matches_duckdb(ray_session):
 
 
 def test_assign_shuffle_join_parity(ray_session, monkeypatch):
-    """assign_to_entities' four joins give the same assignments whether
-    hash_join broadcasts their right sides (the default at this size) or
-    shuffles them (gate forced to 0 bytes)."""
+    """assign_to_entities' joins (attach_entity_ids' component map, the
+    base-entity lookup and the match-onto-component join) give the same
+    assignments whether hash_join broadcasts their right sides (the
+    default at this size) or shuffles them (gate forced to 0 bytes)."""
     from capelinker_ray.stages import join
     turns, _ = synth.gen_corpus(n_entities=40, seed=17)
     turns_pd = turns.to_pandas()
