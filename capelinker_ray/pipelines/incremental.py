@@ -46,7 +46,7 @@ from ..stages.grouped import default_partitions, grouped_map
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
-from .linkage import PAIR_ATTR_COLS
+from .linkage import PAIR_ATTR_COLS, _balanced
 
 __all__ = ["assign_to_entities"]
 
@@ -125,8 +125,7 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
             # (SQL-expressible — the driver's value-exact oracle path)
             scored = pairs.map_batches(score_fn, batch_format="pandas")
         else:
-            pairs = add_pair_features(
-                pairs.repartition(4 * default_partitions()))
+            pairs = add_pair_features(_balanced(pairs))
             scored = score_pairs(
                 pairs.select_columns(
                     ["conv_id_from", "conv_id_to"] + TRANSCRIPT_FEATURES),

@@ -26,7 +26,7 @@ from ..stages.blocking import DEFAULT_MAX_BLOCK_PAIRS, candidates
 from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records, collect_tool_vocab
 from ..stages.features import TRANSCRIPT_FEATURES, add_pair_features
-from ..stages.grouped import default_partitions
+from ..stages.grouped import default_partitions, shuffle_width
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
@@ -41,6 +41,14 @@ PAIR_ATTR_COLS = [
     "first_text_32", "second_text_32", "first_text_initials",
     "role_sig", "tool_mask", "n_turns", "text_chars", "ts_min", "epoch",
 ]
+
+
+def _balanced(pairs):
+    """Pin a pair table, then spread it over ``shuffle_width`` of its rows
+    (up to 4x the default width) for the O(len²) feature kernels."""
+    pairs = pairs.materialize()
+    return pairs.repartition(
+        shuffle_width(pairs.count(), cap=4 * default_partitions()))
 
 
 def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
@@ -132,9 +140,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
                                         "id_to": "conv_id_to"})
             # pin before the balance repartition (same rationale as the
             # equality path below)
-            return add_pair_features(
-                wide.materialize().repartition(4 * default_partitions()),
-                slim=True)
+            return add_pair_features(_balanced(wide), slim=True)
         cand = candidates(
             records, None, block_col="block_key", id_col="conv_id",
             blocktype=blocktype, maxdist=maxdist,
@@ -153,9 +159,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
         # slim=True: the pinned pair table keeps ids + score + block_key +
         # features only — the per-side attr columns are feature INPUTS, not
         # downstream reads, and carrying them triples the materialized bytes
-        return add_pair_features(
-            cand.materialize().repartition(4 * default_partitions()),
-            slim=True)
+        return add_pair_features(_balanced(cand), slim=True)
 
     pairs = ck.stage("candidate_pairs", build_pairs, inputs=("conv_records",),
                      params=pair_params)
@@ -169,12 +173,6 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
         inputs=("candidate_pairs",), params={"model": model}, stream=True)
 
     def build_links():
-        # rank-shuffle width ∝ pair count (pairs is pinned -> count is
-        # metadata-cheap): a few-thousand-pair run stops paying two
-        # cluster-wide sort barriers; 100-TB pair tables widen to the
-        # session default
-        width = max(4, min(-(-pairs.count() // 250_000),
-                           default_partitions()))
         # tie_break pinned: tree scores tie exactly all the time, and the
         # flagship wants one link kept per group — the reference-parity
         # "average" default (drop both) is for predict_links callers
@@ -182,8 +180,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
                             id_to="conv_id_to", pred_col="pred",
                             minimum_confidence=minimum_confidence,
                             linktype=linktype,
-                            tie_break="deterministic",
-                            num_partitions=width)
+                            tie_break="deterministic")
 
     links = ck.stage(
         "links", build_links,

@@ -637,7 +637,6 @@ def q_customers_no_orders(sf_dir: str):
     side moves one row per distinct customer per batch, not one per order.
     """
     import pyarrow.compute as pc
-    from ..sources.io import adaptive_partitions
     from ..stages.join import hash_join
     cust = _rpc(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name", "c_acctbal"])
@@ -647,10 +646,7 @@ def q_customers_no_orders(sf_dir: str):
         filter=pc.field("o_orderpriority") == "1-URGENT",
     ).drop_columns(["o_orderpriority"])
     out = hash_join(cust, orders, on="c_custkey", right_on="o_custkey",
-                    how="anti",
-                    num_partitions=adaptive_partitions(
-                        f"{sf_dir}/customer.parquet",
-                        f"{sf_dir}/orders.parquet"))
+                    how="anti")
 
     def rnd(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -730,7 +726,6 @@ def q_nation_revenue(sf_dir: str):
     """Multi-way star join + grouped rollup (TPC-H Q5 flavor): orders ⋈
     customer (hash shuffle join) ⋈ nation (broadcast — 25 rows), partial
     revenue aggregation inside map_batches before the tiny final groupby."""
-    from ..sources.io import adaptive_partitions
     from ..stages.join import broadcast_join, hash_join
     orders = _rpc(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_totalprice"])
@@ -743,10 +738,7 @@ def q_nation_revenue(sf_dir: str):
                            columns=["n_nationkey", "n_name"]
                            ).replace_schema_metadata(None)
     oc = hash_join(orders, cust, on="o_custkey", right_on="c_custkey",
-                   how="inner",
-                   num_partitions=adaptive_partitions(
-                       f"{sf_dir}/orders.parquet",
-                       f"{sf_dir}/customer.parquet"))
+                   how="inner")
     ocn = broadcast_join(oc, nation, on="c_nationkey",
                          right_on="n_nationkey", how="inner")
 
@@ -897,15 +889,12 @@ def q_events_pivot(sf_dir: str):
     """Long → wide pivot (data.table dcast analog): per-user event counts,
     one column per event type. Batches collapse locally to the wide layout
     before one small groupby merge (stages/pivot.py)."""
-    from ..sources.io import adaptive_partitions
     from ..stages.pivot import pivot_counts
     # materialize the 2-column projection: values discovery + the partial
     # pass share one read instead of re-scanning the parquet
     ev = _rpc(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"]).materialize()
-    return pivot_counts(ev, index="user_id", pivot="event_type",
-                        num_partitions=adaptive_partitions(
-                            f"{sf_dir}/events.parquet"))
+    return pivot_counts(ev, index="user_id", pivot="event_type")
 
 
 def sql_events_pivot(sf_dir: str) -> str:

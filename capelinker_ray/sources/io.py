@@ -18,7 +18,7 @@ TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
 __all__ = ["TRANSCRIPT_COLUMNS", "read_transcripts", "read_table",
            "read_labeled_pairs", "read_jsonl", "write_partitioned",
-           "adaptive_partitions", "read_parquet_clean", "read_ipc", "write_ipc",
+           "read_parquet_clean", "read_ipc", "write_ipc",
            "write_hive_partitioned", "read_hive"]
 
 
@@ -60,26 +60,6 @@ def read_parquet_clean(path: str, *, columns: list[str] | None = None,
         if sch is not None:
             kwargs["schema"] = sch
     return rd.read_parquet(path, columns=columns, **kwargs)
-
-
-def adaptive_partitions(*paths: str, bytes_per_partition: int = 64 << 20,
-                        lo: int = 8, hi: int = 512) -> int:
-    """Shuffle width sized to the INPUT BYTES (compressed on disk) rather
-    than only the cluster width: a KB-sized dimension join stops paying a
-    2x-CPU-wide barrier's fixed cost, a 100-TB input widens to ``hi``.
-    Use for hash_join / grouped_map ``num_partitions`` when the inputs are
-    files whose sizes are known up front."""
-    import os
-    total = 0
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, files in os.walk(p):
-                total += sum(os.path.getsize(os.path.join(root, f))
-                             for f in files)
-        elif os.path.exists(p):
-            total += os.path.getsize(p)
-    import math
-    return max(lo, min(int(math.ceil(total / bytes_per_partition)), hi))
 
 
 def read_jsonl(path: str, columns: list[str] | None = None, **kwargs):

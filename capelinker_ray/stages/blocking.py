@@ -406,25 +406,29 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
         attr_cols = attr_cols + ["_blockvar"]
 
     from .grouped import (HASH_SHUFFLE_MIN_ROWS, default_partitions,
-                          grouped_map)
+                          grouped_map, shuffle_width)
     fn = _pairs_fn(block_col, id_col, blocktype, maxdist, attr_cols,
                    keep_unmatched, self_link, jw_variant=jw_variant,
                    idf=idf)
-    # 4x the default shuffle width: per-partition pair work is quadratic
-    # in block size, so at 2x-cpus coarse partitions the slowest one sets
-    # the stage wall (measured: the pair stage scaled 2.56x going 2->8
-    # cpus from straggler imbalance). Finer partitions cost only reduce
-    # width — the shuffle's bytes are unchanged.
+    # width from the tagged rows, capped at 4x the default shuffle width:
+    # per-partition pair work is quadratic in block size, so at 2x-cpus
+    # coarse partitions the slowest one sets the stage wall (measured: the
+    # pair stage scaled 2.56x going 2->8 cpus from straggler imbalance).
+    # Finer partitions cost only reduce width — the shuffle's bytes are
+    # unchanged.
     #
-    # Large corpora route through the ONE-exchange hash shuffle: the sort
-    # path's repartition+sort is two all-to-alls whose barrier waits left
-    # 22-27% of the slots idle on the 4.6M-turn scaling corpus (measured
-    # 8-cpu leg 171-189 s sort vs 163 s hash, identical pairs); up to
-    # HASH_SHUFFLE_MIN_ROWS the hash aggregator-pool setup (~1.5 s fixed)
-    # outweighs the saved barrier.
-    n_tagged = tagged.count()        # tagged is materialized above
+    # Large corpora route through the hash shuffle: against the former
+    # repartition+sort path (two all-to-alls) its one exchange won on the
+    # 4.6M-turn scaling corpus (8-cpu leg 171-189 s sort vs 163 s hash,
+    # identical pairs); up to HASH_SHUFFLE_MIN_ROWS the hash
+    # aggregator-pool setup (~1.5 s fixed) outweighs the saved barrier.
+    #
+    # Both counts are metadata-cheap: self-link tags each pinned record
+    # twice, the two-sided union is pinned above
+    n_tagged = 2 * ds_from.count() if self_link else tagged.count()
     pairs = grouped_map(salted, [block_col, "_salt"], fn,
-                        num_partitions=min(4 * default_partitions(), 1024),
+                        num_partitions=shuffle_width(
+                            n_tagged, cap=min(4 * default_partitions(), 1024)),
                         shuffle=("hash" if n_tagged > HASH_SHUFFLE_MIN_ROWS
                                  else "sort"))
     if blocktype in ("bigram", "stringdist"):

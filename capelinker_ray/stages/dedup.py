@@ -42,7 +42,7 @@ def _widen(ds):
     """Repartition a narrow input up to session width (2× session CPUs)
     before a heavy pre-shuffle stage. A single-block source (from_pandas,
     one small parquet file) otherwise runs the whole signature/shingle
-    computation as ONE serial task — downstream grouped_map repartitions
+    computation as ONE serial task — downstream grouped_map shuffles
     spread the SHUFFLE, not the map that feeds it. A materialized input
     that is already that wide passes through untouched."""
     from .grouped import default_partitions

@@ -8,6 +8,8 @@ regardless of data size. ``grouped_map`` instead hash-buckets keys into
 frame holding MANY complete key-groups, which it processes with one
 vectorized pandas groupby. Same co-partitioning guarantee (every row of a
 key lands in exactly one call), ~key-count/num_partitions fewer UDF calls.
+``num_partitions`` defaults to ``shuffle_width`` of the input's row count,
+so a few-hundred-row shuffle runs one reduce task, not a cluster-wide one.
 
 All high-cardinality engine ops route through this: hash_join's per-key
 merge, rank selection, LSH bucket pairing, blocking pair generation.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-__all__ = ["grouped_map", "key_hash", "typed_or_empty"]
+__all__ = ["grouped_map", "key_hash", "shuffle_width", "typed_or_empty"]
 
 _PART = "__gpart"
 
@@ -33,13 +35,29 @@ def key_hash(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
 
 
 def default_partitions() -> int:
-    """2× cluster CPUs (bounded): scales reduce width with the session."""
+    """2× cluster CPUs (bounded): the widest a default shuffle gets."""
     try:
         import ray
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
     return max(8, min(2 * cpus, 512))
+
+
+# rows one reduce partition carries before a shuffle widens: each reduce
+# task has a fixed cost (task launch, block build, schema unification), so
+# a shuffle of a few hundred rows spread over 2x-CPUs partitions paid that
+# cost per empty-ish partition (measured: a 199-conversation increment
+# spent ~15 s of its ~30 s in such shuffles on a 4-vCPU host)
+ROWS_PER_PARTITION = 4_096
+
+
+def shuffle_width(n_rows: int, cap: int | None = None) -> int:
+    """Reduce width of a shuffle carrying ``n_rows`` rows: one partition
+    per ``ROWS_PER_PARTITION`` rows, at least 1, at most ``cap`` (default
+    ``default_partitions()``)."""
+    return max(1, min(cap or default_partitions(),
+                      -(-n_rows // ROWS_PER_PARTITION)))
 
 
 def _typed_empty(df: pd.DataFrame):
@@ -74,13 +92,14 @@ def typed_or_empty(df: pd.DataFrame):
     return df
 
 
-# grouped_map's shuffle: "sort" (default) is the repartition +
-# sort-shuffle path; "hash" routes through Ray's hash-shuffle groupby (ONE
-# exchange, reduce width pinned by num_partitions directly) —
-# semantically identical but it spawns a fresh aggregator-actor pool per
-# operator, a measured ~1.5 s fixed setup on a 4-vCPU host that outweighs
-# the saved barrier until a shuffle carries more than this many rows
-# (the blocking pair exchange checks its tagged row count against it).
+# grouped_map's shuffle: "sort" (default) is one boundary-sort exchange;
+# "hash" routes through Ray's hash-shuffle groupby — semantically
+# identical but it spawns a fresh aggregator-actor pool per operator, a
+# measured ~1.5 s fixed setup on a 4-vCPU host. Against the former
+# two-exchange sort path (repartition + sampled sort) the hash path won
+# above this many rows (the blocking pair exchange checks its tagged row
+# count against it); it has not been re-measured against the one-exchange
+# boundary sort.
 HASH_SHUFFLE_MIN_ROWS = 300_000
 
 
@@ -93,13 +112,19 @@ def grouped_map(ds, keys: str | list[str], fn, *,
     ``fn`` receives a pandas DataFrame containing every row of each key in
     its partition (the ``_PART`` helper column already stripped) and must
     handle multiple keys — typically via one vectorized
-    ``frame.groupby(keys)``. Returns the concatenated Dataset.
-    ``num_partitions`` defaults to 2× cluster CPUs. ``shuffle`` is "sort"
-    or "hash" (see ``HASH_SHUFFLE_MIN_ROWS``).
+    ``frame.groupby(keys)``; it is never called with an empty frame.
+    Returns the concatenated Dataset. ``num_partitions`` defaults to
+    ``shuffle_width`` of the input's row count (the input is pinned to
+    count it). ``shuffle`` is "sort" or "hash" (see
+    ``HASH_SHUFFLE_MIN_ROWS``).
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_partitions is None:
-        num_partitions = default_partitions()
+        # the sort below is an all-to-all that buffers its whole input
+        # anyway: pinning it first adds no barrier, and makes the count
+        # metadata-cheap
+        ds = ds.materialize()
+        num_partitions = shuffle_width(ds.count())
 
     def add_part(df: pd.DataFrame) -> pd.DataFrame:
         # assign = shallow copy (new frame, shared immutable column
@@ -131,10 +156,20 @@ def grouped_map(ds, keys: str | list[str], fn, *,
         # no repartition round, no sort of the partition column
         return parted.groupby(_PART, num_partitions=num_partitions)\
             .map_groups(run, batch_format=batch_format)
-    # legacy sort path. Reduce-task parallelism for the sort shuffle tracks
-    # the INPUT block count: a single-block input (one small parquet file)
-    # would funnel all num_partitions coarse groups through ONE sequential
-    # reduce task. Repartitioning pins reduce width to num_partitions
-    # regardless of input layout.
-    parted = parted.repartition(num_partitions)
-    return parted.groupby(_PART).map_groups(run, batch_format=batch_format)
+    # ONE sort exchange: the partition ids are the known integers
+    # 0..num_partitions-1, so they are the sort's explicit boundaries —
+    # reducer i receives exactly partition i as one block, whatever the
+    # input's block count, and no boundary-sampling round runs
+    if num_partitions == 1:
+        parted = parted.repartition(1)
+    else:
+        parted = parted.sort(_PART, boundaries=list(range(1, num_partitions)))
+
+    def run_block(g: pd.DataFrame):
+        # an empty reducer (no key hashed to it) emits no block at all
+        if len(g):
+            yield run(g)
+
+    # batch_size=None: each block (= one complete partition) is one batch
+    return parted.map_batches(run_block, batch_format=batch_format,
+                              batch_size=None)

@@ -68,10 +68,8 @@ def select_links(ds_scored, *, id_from: str = "conv_id_from",
     other-side id and always keep exactly one pair per group (useful with
     piecewise-constant tree scores, where exact ties are common).
 
-    ``num_partitions`` sizes the two rank shuffles; callers that know the
-    pair count up front (the flagship pins the pair stage) should pass a
-    width ∝ rows so a few-thousand-pair table stops paying two
-    cluster-wide sort barriers (None = 2× session CPUs).
+    ``num_partitions`` sizes the two rank shuffles (None = ``grouped_map``'s
+    default, ``shuffle_width`` of the scored rows).
     """
     if linktype not in ("one:one", "many:one", "threshold"):
         raise ValueError(
