@@ -26,7 +26,7 @@ from ..stages.blocking import DEFAULT_MAX_BLOCK_PAIRS, candidates
 from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records, collect_tool_vocab
 from ..stages.features import TRANSCRIPT_FEATURES, add_pair_features
-from ..stages.grouped import default_partitions, shuffle_width
+from ..stages.grouped import default_partitions, heavy_width
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
@@ -44,11 +44,11 @@ PAIR_ATTR_COLS = [
 
 
 def _balanced(pairs):
-    """Pin a pair table, then spread it over ``shuffle_width`` of its rows
+    """Pin a pair table, then spread it over ``heavy_width`` of its rows
     (up to 4x the default width) for the O(len²) feature kernels."""
     pairs = pairs.materialize()
     return pairs.repartition(
-        shuffle_width(pairs.count(), cap=4 * default_partitions()))
+        heavy_width(pairs.count(), cap=4 * default_partitions()))
 
 
 def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",

@@ -792,7 +792,7 @@ def q_nation_coverage(sf_dir: str):
     a = counts("customer", "c_nationkey", "c_acctbal", 9700.0, "n_cust")
     b = counts("supplier", "s_nationkey", "s_acctbal", 6000.0, "n_supp")
     out = hash_join(a, b, on="c_nationkey", right_on="s_nationkey",
-                    how="outer", num_partitions=8)
+                    how="outer")
 
     def proj(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -406,16 +406,16 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
         attr_cols = attr_cols + ["_blockvar"]
 
     from .grouped import (HASH_SHUFFLE_MIN_ROWS, default_partitions,
-                          grouped_map, shuffle_width)
+                          grouped_map, heavy_width)
     fn = _pairs_fn(block_col, id_col, blocktype, maxdist, attr_cols,
                    keep_unmatched, self_link, jw_variant=jw_variant,
                    idf=idf)
-    # width from the tagged rows, capped at 4x the default shuffle width:
-    # per-partition pair work is quadratic in block size, so at 2x-cpus
-    # coarse partitions the slowest one sets the stage wall (measured: the
-    # pair stage scaled 2.56x going 2->8 cpus from straggler imbalance).
-    # Finer partitions cost only reduce width — the shuffle's bytes are
-    # unchanged.
+    # width from the tagged rows, at least one partition per CPU and at
+    # most 4x the default shuffle width: per-partition pair work is
+    # quadratic in block size, so at 2x-cpus coarse partitions the slowest
+    # one sets the stage wall (measured: the pair stage scaled 2.56x going
+    # 2->8 cpus from straggler imbalance). Finer partitions cost only
+    # reduce width — the shuffle's bytes are unchanged.
     #
     # Large corpora route through the hash shuffle: against the former
     # repartition+sort path (two all-to-alls) its one exchange won on the
@@ -427,7 +427,7 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
     # twice, the two-sided union is pinned above
     n_tagged = 2 * ds_from.count() if self_link else tagged.count()
     pairs = grouped_map(salted, [block_col, "_salt"], fn,
-                        num_partitions=shuffle_width(
+                        num_partitions=heavy_width(
                             n_tagged, cap=min(4 * default_partitions(), 1024)),
                         shuffle=("hash" if n_tagged > HASH_SHUFFLE_MIN_ROWS
                                  else "sort"))

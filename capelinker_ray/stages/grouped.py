@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-__all__ = ["grouped_map", "key_hash", "shuffle_width", "typed_or_empty"]
+__all__ = ["grouped_map", "heavy_width", "key_hash", "shuffle_width",
+           "typed_or_empty"]
 
 _PART = "__gpart"
 
@@ -34,14 +35,17 @@ def key_hash(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
     return h
 
 
-def default_partitions() -> int:
-    """2× cluster CPUs (bounded): the widest a default shuffle gets."""
+def _cluster_cpus() -> int:
     try:
         import ray
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        cpus = 8
-    return max(8, min(2 * cpus, 512))
+        return 8
+
+
+def default_partitions() -> int:
+    """2× cluster CPUs (bounded): the widest a default shuffle gets."""
+    return max(8, min(2 * _cluster_cpus(), 512))
 
 
 # rows one reduce partition carries before a shuffle widens: each reduce
@@ -58,6 +62,15 @@ def shuffle_width(n_rows: int, cap: int | None = None) -> int:
     ``default_partitions()``)."""
     return max(1, min(cap or default_partitions(),
                       -(-n_rows // ROWS_PER_PARTITION)))
+
+
+def heavy_width(n_rows: int, cap: int) -> int:
+    """Reduce width of a shuffle whose per-partition work is super-linear
+    in its rows (the blocking pair exchange, the pair feature kernels):
+    ``shuffle_width(n_rows, cap)``, but never fewer partitions than cluster
+    CPUs while there are rows to spread, so a small quadratic stage still
+    runs on every CPU instead of one."""
+    return max(shuffle_width(n_rows, cap), min(n_rows, _cluster_cpus(), cap))
 
 
 def _typed_empty(df: pd.DataFrame):

@@ -25,8 +25,7 @@ _MAX_PIVOT_VALUES = 10_000
 
 
 def pivot_counts(ds, *, index: str, pivot: str, values: list | None = None,
-                 sum_col: str | None = None,
-                 num_partitions: int | None = None):
+                 sum_col: str | None = None):
     """Wide table of per-``index`` counts (or sums of ``sum_col``) split by
     ``pivot`` value. Output columns: ``index`` + one int64/float64 column
     per pivot value (missing combinations are 0)."""
@@ -80,5 +79,4 @@ def pivot_counts(ds, *, index: str, pivot: str, values: list | None = None,
         return out
 
     from .grouped import grouped_map
-    return grouped_map(partials, index, merge,
-                       num_partitions=num_partitions)
+    return grouped_map(partials, index, merge)

@@ -56,8 +56,7 @@ def select_links(ds_scored, *, id_from: str = "conv_id_from",
                  id_to: str = "conv_id_to", pred_col: str = "pred",
                  minimum_confidence: float = 0.5, linktype: str = "one:one",
                  carry_cols: list[str] | None = None,
-                 tie_break: str = "average",
-                 num_partitions: int | None = None):
+                 tie_break: str = "average"):
     """Dataset[scored pairs] -> Dataset[accepted links].
 
     Output columns: id_from, id_to, pred, rank_from[, rank_to], carry_cols.
@@ -67,9 +66,6 @@ def select_links(ds_scored, *, id_from: str = "conv_id_from",
     dropped). Pass ``"deterministic"`` to instead break exact ties by the
     other-side id and always keep exactly one pair per group (useful with
     piecewise-constant tree scores, where exact ties are common).
-
-    ``num_partitions`` sizes the two rank shuffles (None = ``grouped_map``'s
-    default, ``shuffle_width`` of the scored rows).
     """
     if linktype not in ("one:one", "many:one", "threshold"):
         raise ValueError(
@@ -103,13 +99,11 @@ def select_links(ds_scored, *, id_from: str = "conv_id_from",
     from .grouped import grouped_map
     ds = grouped_map(ds, id_from,
                      _rank_fn(id_from, pred_col, "rank_from", tie_break,
-                              id_to),
-                     num_partitions=num_partitions)
+                              id_to))
     if linktype == "one:one":
         ds = grouped_map(ds, id_to,
                          _rank_fn(id_to, pred_col, "rank_to", tie_break,
-                                  id_from),
-                         num_partitions=num_partitions)
+                                  id_from))
 
     def final_filter(df: pd.DataFrame):
         m = (df["rank_from"] == 1.0) & (df[pred_col] > minimum_confidence)

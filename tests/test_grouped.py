@@ -13,8 +13,10 @@ import ray.data as rd
 from capelinker_ray.stages import grouped
 from capelinker_ray.stages.grouped import (
     ROWS_PER_PARTITION,
+    _cluster_cpus,
     default_partitions,
     grouped_map,
+    heavy_width,
     shuffle_width,
 )
 
@@ -88,6 +90,20 @@ def test_shuffle_width_bounds(ray_session):
     assert shuffle_width(0, cap=5) == 1
 
 
+def test_heavy_width_spreads_small_inputs_over_every_cpu(ray_session):
+    cpus = _cluster_cpus()
+    assert cpus >= 2                     # the floor is visible
+    assert heavy_width(0, cap=64) == 1
+    assert heavy_width(1, cap=64) == 1
+    assert heavy_width(cpus - 1, cap=64) == cpus - 1
+    assert heavy_width(ROWS_PER_PARTITION, cap=64) == cpus
+    assert heavy_width(ROWS_PER_PARTITION, cap=1) == 1
+    assert heavy_width(10**12, cap=64) == 64
+    # past the CPU floor the row rule decides
+    n = (cpus + 3) * ROWS_PER_PARTITION
+    assert heavy_width(n, cap=10**6) == shuffle_width(n, cap=10**6)
+
+
 def _records():
     """Records over a few shared block keys with a numeric attribute; the
     score below ties often, so selection relies on the deterministic
@@ -125,6 +141,8 @@ def test_candidates_select_links_width_invariant(ray_session, monkeypatch,
     def run(width):
         monkeypatch.setattr(grouped, "shuffle_width",
                             lambda n_rows, cap=None: width)
+        monkeypatch.setattr(grouped, "heavy_width",
+                            lambda n_rows, cap: width)
         pairs = candidates(rd.from_pandas(recs[~side]),
                            rd.from_pandas(recs[side]),
                            block_col="block_key", id_col="conv_id",
