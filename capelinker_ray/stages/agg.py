@@ -172,8 +172,7 @@ def histogram(ds, col: str, *, lo: float, hi: float, bins: int):
                                                batch_size=None)
 
 
-def mode_by(ds, key_col: str, val_col: str, *,
-            num_partitions: int | None = None):
+def mode_by(ds, key_col: str, val_col: str):
     """Most frequent ``val_col`` per key (+ its count ``n``), ties broken
     by smallest value — SQL ``row_number() OVER (PARTITION BY key ORDER
     BY n DESC, val)``. Per-batch (key, val) partial counts collapse each
@@ -201,12 +200,10 @@ def mode_by(ds, key_col: str, val_col: str, *,
 
     from .grouped import grouped_map
     parts = ds.map_batches(partial, batch_format="pandas")
-    return grouped_map(parts, key_col, pick,
-                       num_partitions=num_partitions)
+    return grouped_map(parts, key_col, pick)
 
 
-def grouped_stats(ds, key_cols, x_col: str, y_col: str | None = None, *,
-                  num_partitions: int | None = None):
+def grouped_stats(ds, key_cols, x_col: str, y_col: str | None = None):
     """Per-group second-order statistics from MERGEABLE raw moments:
     count, mean/std of x, and with ``y_col`` also Pearson correlation and
     the OLS slope/intercept of y on x — each batch contributes one
@@ -270,8 +267,7 @@ def grouped_stats(ds, key_cols, x_col: str, y_col: str | None = None, *,
 
     from .grouped import grouped_map
     parts = ds.map_batches(partial, batch_format="pandas")
-    return grouped_map(parts, key_cols, finish,
-                       num_partitions=num_partitions)
+    return grouped_map(parts, key_cols, finish)
 
 
 def grouped_zscore(ds, key_cols, x_col: str, *, out_col: str = "z"):
@@ -375,8 +371,7 @@ def group_centroids(ds, key_col: str, vec_col: str, *,
 
 
 def group_concat(ds, key_cols, val_col: str, *, order_cols=None,
-                 sep: str = ",", out_col: str | None = None,
-                 num_partitions: int | None = None):
+                 sep: str = ",", out_col: str | None = None):
     """Ordered per-key string aggregation (SQL ``string_agg(val, sep
     ORDER BY ...)``): one row per key with its values joined in
     ``order_cols`` order — the conversation-reassembly / sequence-export
@@ -406,13 +401,11 @@ def group_concat(ds, key_cols, val_col: str, *, order_cols=None,
         return out
 
     from .grouped import grouped_map
-    return grouped_map(ds, key_cols, per_part,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_cols, per_part)
 
 
 def grouped_nunique(ds, key_cols, val_col: str, *,
-                    out_col: str = "n_distinct",
-                    num_partitions: int | None = None):
+                    out_col: str = "n_distinct"):
     """EXACT ``count(DISTINCT val)`` per key: each batch collapses to its
     distinct (key, val) pairs FIRST (the only rows that shuffle — the
     partial-distinct idiom), then one co-partitioning shuffle and a
@@ -439,8 +432,7 @@ def grouped_nunique(ds, key_cols, val_col: str, *,
 
     from .grouped import grouped_map
     parts = ds.map_batches(partial, batch_format="pandas")
-    return grouped_map(parts, key_cols, count,
-                       num_partitions=num_partitions)
+    return grouped_map(parts, key_cols, count)
 
 
 def calibration_bins(ds, *, score_col: str = "score",

@@ -390,7 +390,6 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
                       id_col: str, maxdist: float = 0.15, idf: bool = False,
                       keep_unmatched: bool = True,
                       max_block_pairs: int | None = None,
-                      num_partitions: int | None = None,
                       broadcast_from_ids: int = _BROADCAST_FROM_IDS):
     """Corpus-wide bigram-cosine candidate pairs (no pre-block).
 
@@ -489,8 +488,7 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
     salted = exploded.map_batches(_grid_salt_fn(hot),
                                   batch_format="pandas")
     pairs = grouped_map(salted, ["_dim", "_salt"],
-                        _pairs_fn(maxsim, self_link),
-                        num_partitions=num_partitions)
+                        _pairs_fn(maxsim, self_link))
 
     # pass 4: matches + outer retention. ids normalized to strings on
     # BOTH branches: a pandas/arrow dtype mismatch would hash-partition
@@ -522,8 +520,7 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
         counts = grouped_map(
             norm.map_batches(pcount, batch_format="pandas"), "id_from",
             lambda df: (df.groupby("id_from", sort=False)["n"].sum()
-                        .reset_index()),
-            num_partitions=num_partitions).to_pandas()
+                        .reset_index())).to_pandas()
         if len(counts):
             cseries = pd.Series(counts["n"].to_numpy(np.float64),
                                 index=counts["id_from"])
@@ -586,13 +583,11 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
         na["matches"] = 0.0
         return pd.concat([real, na], ignore_index=True)
 
-    return grouped_map(both, "id_from", resolve,
-                       num_partitions=num_partitions)
+    return grouped_map(both, "id_from", resolve)
 
 
 def attach_pair_attrs(pairs, records, *, id_col: str,
-                      attr_cols: list[str],
-                      num_partitions: int | None = None):
+                      attr_cols: list[str]):
     """(id_from, id_to, ...) pairs + record attributes -> the wide
     ``{attr}_from`` / ``{attr}_to`` pair table the feature stage consumes
     (candidates() emits this inline; the corpus-wide bigram blocker ships
@@ -613,8 +608,6 @@ def attach_pair_attrs(pairs, records, *, id_col: str,
             return pa.table(cols)
         return records.map_batches(fn, batch_format="pyarrow")
 
-    out = hash_join(pairs, side("_from"), on="id_from",
-                    num_partitions=num_partitions)
-    out = hash_join(out, side("_to"), on="id_to", how="left",
-                    num_partitions=num_partitions)
+    out = hash_join(pairs, side("_from"), on="id_from")
+    out = hash_join(out, side("_to"), on="id_to", how="left")
     return out

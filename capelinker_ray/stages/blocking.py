@@ -405,8 +405,7 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
     if blocktype in ("bigram", "stringdist") and "_blockvar" not in attr_cols:
         attr_cols = attr_cols + ["_blockvar"]
 
-    from .grouped import (HASH_SHUFFLE_MIN_ROWS, default_partitions,
-                          grouped_map, heavy_width)
+    from .grouped import default_partitions, grouped_map, heavy_width
     fn = _pairs_fn(block_col, id_col, blocktype, maxdist, attr_cols,
                    keep_unmatched, self_link, jw_variant=jw_variant,
                    idf=idf)
@@ -417,20 +416,12 @@ def candidates(ds_from, ds_to=None, *, block_col: str | None = "block_key",
     # 2->8 cpus from straggler imbalance). Finer partitions cost only
     # reduce width — the shuffle's bytes are unchanged.
     #
-    # Large corpora route through the hash shuffle: against the former
-    # repartition+sort path (two all-to-alls) its one exchange won on the
-    # 4.6M-turn scaling corpus (8-cpu leg 171-189 s sort vs 163 s hash,
-    # identical pairs); up to HASH_SHUFFLE_MIN_ROWS the hash
-    # aggregator-pool setup (~1.5 s fixed) outweighs the saved barrier.
-    #
-    # Both counts are metadata-cheap: self-link tags each pinned record
+    # The count is metadata-cheap: self-link tags each pinned record
     # twice, the two-sided union is pinned above
     n_tagged = 2 * ds_from.count() if self_link else tagged.count()
     pairs = grouped_map(salted, [block_col, "_salt"], fn,
                         num_partitions=heavy_width(
-                            n_tagged, cap=min(4 * default_partitions(), 1024)),
-                        shuffle=("hash" if n_tagged > HASH_SHUFFLE_MIN_ROWS
-                                 else "sort"))
+                            n_tagged, cap=min(4 * default_partitions(), 1024)))
     if blocktype in ("bigram", "stringdist"):
         pairs = pairs.drop_columns(["_blockvar_from", "_blockvar_to"])
     return pairs

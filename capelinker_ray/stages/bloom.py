@@ -93,8 +93,10 @@ class BloomFilter:
         """(num_hashes, n) bit positions via double hashing; h2 forced odd
         so the stride never degenerates."""
         h1 = hashed
-        h2 = _splitmix64(hashed ^ (np.uint64(self.seed) * np.uint64(
-            0x9E3779B97F4A7C15) & _MASK64)) | np.uint64(1)
+        # the seed's wrapped product in Python ints: a uint64 scalar
+        # multiply would warn on the (intended) overflow
+        salt = np.uint64(self.seed * 0x9E3779B97F4A7C15 % (1 << 64))
+        h2 = _splitmix64(hashed ^ salt) | np.uint64(1)
         m = np.uint64(self.num_bits)
         return np.stack([((h1 + np.uint64(i) * h2) & _MASK64) % m
                          for i in range(self.num_hashes)])
@@ -194,7 +196,7 @@ def _bloom_route(left, bf: BloomFilter, on: str, want_maybe: bool):
 
 def bloom_anti_join(left, right, *, on: str, right_on: str | None = None,
                     fpp: float = 0.01, expected: int | None = None,
-                    seed: int = 0, num_partitions: int | None = None):
+                    seed: int = 0):
     """EXACT anti join (left rows whose key appears nowhere in ``right``)
     with a Bloom pre-filter: only the maybe-present sliver of ``left``
     (true hits + ~fpp of the rest) enters the hash-anti-join shuffle;
@@ -212,14 +214,13 @@ def bloom_anti_join(left, right, *, on: str, right_on: str | None = None,
     bf = bloom_build(keys, right_on, expected=expected, fpp=fpp, seed=seed)
     misses = _bloom_route(left, bf, on, want_maybe=False)
     maybes = _bloom_route(left, bf, on, want_maybe=True)
-    settled = hash_join(maybes, keys, on=on, right_on=right_on, how="anti",
-                        num_partitions=num_partitions)
+    settled = hash_join(maybes, keys, on=on, right_on=right_on, how="anti")
     return misses.union(settled)
 
 
 def bloom_semi_join(left, right, *, on: str, right_on: str | None = None,
                     fpp: float = 0.01, expected: int | None = None,
-                    seed: int = 0, num_partitions: int | None = None):
+                    seed: int = 0):
     """EXACT semi join (left rows whose key IS in ``right``): bloom
     definite-misses are dropped batch-locally, maybes settled by the hash
     semi join — one pass over ``left``."""
@@ -229,5 +230,4 @@ def bloom_semi_join(left, right, *, on: str, right_on: str | None = None,
     keys = right.select_columns([right_on])
     bf = bloom_build(keys, right_on, expected=expected, fpp=fpp, seed=seed)
     maybes = _bloom_route(left, bf, on, want_maybe=True)
-    return hash_join(maybes, keys, on=on, right_on=right_on, how="semi",
-                     num_partitions=num_partitions)
+    return hash_join(maybes, keys, on=on, right_on=right_on, how="semi")

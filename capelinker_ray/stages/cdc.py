@@ -20,8 +20,7 @@ __all__ = ["compact_latest", "snapshot_diff", "apply_changes",
 
 
 def compact_latest(ds, key_cols, ts_col: str, *,
-                   tiebreak_cols=None, tombstone_col: str | None = None,
-                   num_partitions: int | None = None):
+                   tiebreak_cols=None, tombstone_col: str | None = None):
     """Keep the newest row per key tuple: max ``ts_col``, ties broken by
     ``tiebreak_cols`` descending (pass the log sequence / event id to make
     the pick deterministic). Null timestamps sort OLDEST (SQL ``ORDER BY
@@ -49,13 +48,11 @@ def compact_latest(ds, key_cols, ts_col: str, *,
         return out
 
     from .grouped import grouped_map
-    return grouped_map(ds, key_cols, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_cols, per_partition)
 
 
 def apply_changes(base, changes, key_cols, ts_col: str, *,
-                  tiebreak_cols=None, tombstone_col: str | None = None,
-                  num_partitions: int | None = None):
+                  tiebreak_cols=None, tombstone_col: str | None = None):
     """MERGE a changelog into a base snapshot (the SQL ``MERGE INTO`` /
     upsert compaction): per key, ANY change row beats the base row
     regardless of timestamp (the base is by definition older than the
@@ -102,13 +99,11 @@ def apply_changes(base, changes, key_cols, ts_col: str, *,
         return out.drop(columns=["_rank"])
 
     from .grouped import grouped_map
-    return grouped_map(tagged, key_cols, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(tagged, key_cols, per_partition)
 
 
 def snapshot_diff(old, new, key_cols, *, compare_cols=None,
-                  include_unchanged: bool = False,
-                  num_partitions: int | None = None):
+                  include_unchanged: bool = False):
     """Keyed diff of two snapshot Datasets: per key, status ``added``
     (key only in ``new``), ``removed`` (only in ``old``), ``changed``
     (both, non-key values differ) or ``unchanged`` (emitted only with
@@ -167,16 +162,14 @@ def snapshot_diff(old, new, key_cols, *, compare_cols=None,
             out = out[out["status"] != "unchanged"]
         return typed_or_empty(out)
 
-    return grouped_map(tagged, key_cols, diff,
-                       num_partitions=num_partitions)
+    return grouped_map(tagged, key_cols, diff)
 
 
 def scd2_intervals(changes, key_cols, ts_col: str, *,
                    tiebreak_cols=None,
                    valid_from_col: str = "valid_from",
                    valid_to_col: str = "valid_to",
-                   current_col: str = "is_current",
-                   num_partitions: int | None = None):
+                   current_col: str = "is_current"):
     """Type-2 slowly-changing-dimension intervals: each change row
     becomes a VERSION with ``[valid_from, valid_to)`` — valid_from = its
     own timestamp, valid_to = the key's NEXT change (null for the
@@ -213,12 +206,11 @@ def scd2_intervals(changes, key_cols, ts_col: str, *,
         return out
 
     from .grouped import grouped_map
-    return grouped_map(changes, key_cols, per_part,
-                       num_partitions=num_partitions)
+    return grouped_map(changes, key_cols, per_part)
 
 
 def fingerprint_diff(old, new, key_cols, *, compare_cols=None,
-                     buckets: int = 256, num_partitions: int | None = None):
+                     buckets: int = 256):
     """Bucket-pruned snapshot diff — :func:`snapshot_diff` for the
     100-TB replica-reconciliation case where the two tables are ALMOST
     identical: first compare per-bucket fingerprints (key-hash buckets,
@@ -296,5 +288,4 @@ def fingerprint_diff(old, new, key_cols, *, compare_cols=None,
                          batch_format="pandas")
     n2 = new.map_batches(lambda d: typed_or_empty(keep_dirty(d)),
                          batch_format="pandas")
-    return snapshot_diff(o2, n2, key_cols, compare_cols=compare_cols,
-                         num_partitions=num_partitions)
+    return snapshot_diff(o2, n2, key_cols, compare_cols=compare_cols)

@@ -10,9 +10,9 @@ to connected components. Here:
     close in a driver-side vectorized union-find; larger ones run
     iterative hash-min label propagation (each node adopts the min label
     in its neighborhood; iterate to fixpoint). Every iteration is ONE
-    hash shuffle of the (node, label) table (edges are pre-partitioned
-    by src once); convergence is detected with a changed-count
-    aggregate, no wall-clock reads. Iterations ~
+    ``grouped_map`` shuffle of the (node, label) table at one fixed width
+    (edges are pre-partitioned by src once); convergence is detected
+    with a changed-count aggregate, no wall-clock reads. Iterations ~
     graph diameter — link graphs here are small star-ish families, so 2-3
     rounds; the hash-min scheme is the standard scalable CC on Ray-style
     shuffles (cf. PAPERS.md BTS/large-star-small-star for the adversarial
@@ -303,8 +303,7 @@ def expand_index(df: pd.DataFrame, index: str = "index",
 
 def golden_records(ds_records, ds_entities, *, key_col: str = "conv_id",
                    entity_col: str = "entity_id",
-                   rules: dict[str, str] | None = None,
-                   num_partitions: int | None = None):
+                   rules: dict[str, str] | None = None):
     """Survivorship / golden-record construction: collapse each entity
     cluster to ONE canonical row — the step after transitive clustering
     in every master-data/entity-resolution pipeline (the reference stops
@@ -327,8 +326,7 @@ def golden_records(ds_records, ds_entities, *, key_col: str = "conv_id",
     from .join import hash_join
     from .grouped import grouped_map
 
-    joined = hash_join(ds_records, ds_entities, on=key_col,
-                       num_partitions=num_partitions)
+    joined = hash_join(ds_records, ds_entities, on=key_col)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         from .grouped import typed_or_empty
@@ -359,5 +357,4 @@ def golden_records(ds_records, ds_entities, *, key_col: str = "conv_id",
         out["n_members"] = out["n_members"].astype(np.int64)
         return typed_or_empty(out.reset_index())
 
-    return grouped_map(joined, entity_col, per_part,
-                       num_partitions=num_partitions)
+    return grouped_map(joined, entity_col, per_part)

@@ -1371,8 +1371,7 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
 def remove_spans(docs, spans, *, text_col: str = "text",
                  id_col: str = "doc_id", start_col: str = "span_start",
-                 end_col: str = "span_end",
-                 num_partitions: int | None = None):
+                 end_col: str = "span_end"):
     """Scrub word spans out of documents: given a span table (1-based
     INCLUSIVE word intervals per doc — ``dup_spans`` output, or any
     curated/edited span set), drop every covered word and rebuild each doc
@@ -1461,8 +1460,7 @@ def remove_spans(docs, spans, *, text_col: str = "text",
             "n_removed": np.bincount(doc_of[covered],
                                      minlength=n).astype(np.int64)})
 
-    return grouped_map(tagged, id_col, scrub_part,
-                       num_partitions=num_partitions)
+    return grouped_map(tagged, id_col, scrub_part)
 
 
 def incremental_dedup(new_ds, frozen_ds, *, key_col: str = "text",
@@ -1568,8 +1566,7 @@ def ngram_containment_pairs(ds, *, text_col: str = "text",
 
 
 def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
-                         quality_col: str = "n_chars",
-                         num_partitions: int | None = None):
+                         quality_col: str = "n_chars"):
     """Quality-aware near-dup SURVIVORSHIP: given a doc table and a
     near-dup pair table (from any detector in this module), close the
     pairs into families (connected components) and keep the HIGHEST-
@@ -1602,8 +1599,7 @@ def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
 
     fam = comps.map_batches(to_int, batch_format="pyarrow")
     slim = docs.select_columns([id_col, quality_col])
-    joined = hash_join(slim, fam, on=id_col, how="left",
-                       num_partitions=num_partitions)
+    joined = hash_join(slim, fam, on=id_col, how="left")
 
     def fill_singletons(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1612,8 +1608,7 @@ def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
 
     joined = joined.map_batches(fill_singletons, batch_format="pyarrow")
     best = top_k_per_group(joined, "_fam", quality_col, id_col, k=1,
-                           ascending=False,
-                           num_partitions=num_partitions)
+                           ascending=False)
 
     def keeper(t: pa.Table) -> pa.Table:
         return pa.table({"_fam": t["_fam"],
@@ -1621,8 +1616,7 @@ def keep_best_per_family(docs, pairs, *, id_col: str = "doc_id",
 
     winners = best.map_batches(keeper, batch_format="pyarrow")
     out = hash_join(joined.select_columns([id_col, "_fam"]), winners,
-                    on="_fam", how="inner",
-                    num_partitions=num_partitions)
+                    on="_fam", how="inner")
     return out.select_columns([id_col, f"keep_{id_col}"])
 
 

@@ -161,7 +161,6 @@ def hopping_window_agg(ds, *, key_col: str = "event_type",
 
 def asof_join(left, right, *, by: str, ts_col: str = "ts",
               right_cols: list[str] | None = None, suffix: str = "_r",
-              num_partitions: int | None = None,
               bucket_minutes: float | None = None):
     """Per-key as-of join: each left row picks the LATEST right row with
     ``right.ts <= left.ts`` for the same ``by`` key (DuckDB/kdb ASOF JOIN
@@ -308,13 +307,12 @@ def asof_join(left, right, *, by: str, ts_col: str = "ts",
             out = pd.concat([out, l_na], ignore_index=True)
         return out.reindex(columns=out_cols)
 
-    return grouped_map(tagged, group_key, join_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(tagged, group_key, join_partition)
 
 
 def interval_join(points, intervals, *, by: str, ts_col: str = "ts",
                   start_col: str = "start", end_col: str = "end",
-                  suffix: str = "_iv", num_partitions: int | None = None,
+                  suffix: str = "_iv",
                   bucket_minutes: float | None = None,
                   max_span_buckets: int = 4096):
     """Per-key point-in-interval join (SQL range join): one output row per
@@ -438,13 +436,11 @@ def interval_join(points, intervals, *, by: str, ts_col: str = "ts",
                 m[c] = m[c].astype(t.to_pandas_dtype())
         return typed_or_empty(m)
 
-    return grouped_map(tagged, group_key, join_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(tagged, group_key, join_partition)
 
 
 def funnel(ds, steps, *, user_col: str = "user_id", ts_col: str = "ts",
-           type_col: str = "event_type",
-           num_partitions: int | None = None):
+           type_col: str = "event_type"):
     """Ordered-sequence (funnel) match per user: the earliest completion
     of ``steps[0]`` then ``steps[1]`` STRICTLY after it, and so on — the
     classic first-touch conversion funnel. Emits one row per user with
@@ -496,14 +492,12 @@ def funnel(ds, steps, *, user_col: str = "user_id", ts_col: str = "ts",
         return out
 
     from .grouped import grouped_map
-    return grouped_map(ds, user_col, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, user_col, per_partition)
 
 
 def resample_ffill(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                    value_col: str = "value", every_s: float = 86400.0,
-                   tiebreak_col: str | None = None,
-                   num_partitions: int | None = None):
+                   tiebreak_col: str | None = None):
     """Per-key regular-grid resample with forward fill: for every key,
     grid points at epoch-aligned multiples of ``every_s`` spanning the
     key's [min ts, max ts], each carrying the LAST observed value at or
@@ -566,14 +560,12 @@ def resample_ffill(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             value_col: out[value_col].to_numpy(np.float64)})[out_cols]
 
     from .grouped import grouped_map
-    return grouped_map(ds, key_col, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_col, per_partition)
 
 
 def event_transitions(ds, *, user_col: str = "user_id",
                       ts_col: str = "ts", type_col: str = "event_type",
-                      id_col: str = "event_id",
-                      num_partitions: int | None = None):
+                      id_col: str = "event_id"):
     """First-order Markov transition counts over each user's timeline:
     Dataset[(prev_type, next_type, n)] counting every consecutive
     (event[i] -> event[i+1]) pair per user, ordered by (ts, id) — the
@@ -602,7 +594,6 @@ def event_transitions(ds, *, user_col: str = "user_id",
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    parts = grouped_map(ds, user_col, per_part,
-                        num_partitions=num_partitions)
+    parts = grouped_map(ds, user_col, per_part)
     from .agg import small_group_sum
     return small_group_sum(parts, ["prev_type", "next_type"], ["n"])

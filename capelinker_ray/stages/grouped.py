@@ -3,13 +3,19 @@
 ``Dataset.groupby(key).map_groups(fn)`` invokes ``fn`` once per DISTINCT
 KEY, paying Ray's per-group block-slice + UDF-call + block-build overhead
 (~1-3 ms). At 10^5-10^6 distinct keys that overhead alone is minutes —
-regardless of data size. ``grouped_map`` instead hash-buckets keys into
-``num_partitions`` COARSE groups (one Ray group each) and hands ``fn`` a
-frame holding MANY complete key-groups, which it processes with one
-vectorized pandas groupby. Same co-partitioning guarantee (every row of a
-key lands in exactly one call), ~key-count/num_partitions fewer UDF calls.
-``num_partitions`` defaults to ``shuffle_width`` of the input's row count,
-so a few-hundred-row shuffle runs one reduce task, not a cluster-wide one.
+regardless of data size. ``grouped_map`` instead hash-buckets keys into a
+few COARSE partitions and hands ``fn`` a frame holding MANY complete
+key-groups, which it processes with one vectorized pandas groupby. Same
+co-partitioning guarantee (every row of a key lands in exactly one call),
+~key-count/width fewer UDF calls. The partitions move in ONE boundary-sort
+exchange.
+
+One rule sets the width: ``shuffle_width`` of the input's row count, so a
+few-hundred-row shuffle runs one reduce task, not a cluster-wide one.
+Operators do not take a width. The two callers that pass one to
+``grouped_map`` are blocking's pair exchange (``heavy_width``: quadratic
+per-partition work) and distributed connected components (a fixed width
+across its iterations).
 
 All high-cardinality engine ops route through this: hash_join's per-key
 merge, rank selection, LSH bucket pairing, blocking pair generation.
@@ -105,21 +111,8 @@ def typed_or_empty(df: pd.DataFrame):
     return df
 
 
-# grouped_map's shuffle: "sort" (default) is one boundary-sort exchange;
-# "hash" routes through Ray's hash-shuffle groupby — semantically
-# identical but it spawns a fresh aggregator-actor pool per operator, a
-# measured ~1.5 s fixed setup on a 4-vCPU host. Against the former
-# two-exchange sort path (repartition + sampled sort) the hash path won
-# above this many rows (the blocking pair exchange checks its tagged row
-# count against it); it has not been re-measured against the one-exchange
-# boundary sort.
-HASH_SHUFFLE_MIN_ROWS = 300_000
-
-
 def grouped_map(ds, keys: str | list[str], fn, *,
-                num_partitions: int | None = None,
-                batch_format: str = "pandas",
-                shuffle: str = "sort"):
+                num_partitions: int | None = None):
     """Apply ``fn(frame)`` to coarse hash partitions of complete key-groups.
 
     ``fn`` receives a pandas DataFrame containing every row of each key in
@@ -128,8 +121,8 @@ def grouped_map(ds, keys: str | list[str], fn, *,
     ``frame.groupby(keys)``; it is never called with an empty frame.
     Returns the concatenated Dataset. ``num_partitions`` defaults to
     ``shuffle_width`` of the input's row count (the input is pinned to
-    count it). ``shuffle`` is "sort" or "hash" (see
-    ``HASH_SHUFFLE_MIN_ROWS``).
+    count it); only callers with a width rule of their own pass it
+    (module docstring).
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_partitions is None:
@@ -164,11 +157,6 @@ def grouped_map(ds, keys: str | list[str], fn, *,
         return out
 
     parted = ds.map_batches(add_part, batch_format="pandas")
-    if shuffle == "hash":
-        # ONE hash exchange: reduce width = num_partitions by construction,
-        # no repartition round, no sort of the partition column
-        return parted.groupby(_PART, num_partitions=num_partitions)\
-            .map_groups(run, batch_format=batch_format)
     # ONE sort exchange: the partition ids are the known integers
     # 0..num_partitions-1, so they are the sort's explicit boundaries —
     # reducer i receives exactly partition i as one block, whatever the
@@ -184,5 +172,5 @@ def grouped_map(ds, keys: str | list[str], fn, *,
             yield run(g)
 
     # batch_size=None: each block (= one complete partition) is one batch
-    return parted.map_batches(run_block, batch_format=batch_format,
+    return parted.map_batches(run_block, batch_format="pandas",
                               batch_size=None)

@@ -15,10 +15,11 @@ right side once and reads its Arrow size:
   ``ray.put``; every worker process indexes it once (``bcast.cached_get``)
   and each left batch is one vectorized probe plus Arrow ``take`` — no
   shuffle, and the left rows never move;
-* otherwise a tagged union of both sides runs through the hash-partitioned
-  ``groupby(key).map_groups`` shuffle — the primitive the blocking stage
-  co-partitions with (stages/blocking.py), so the engine leans on a single
-  well-tested shuffle path.
+* otherwise a tagged union of both sides runs through ``grouped_map``
+  (stages/grouped.py): one boundary-sort exchange at ``shuffle_width`` of
+  the union's rows — the primitive the blocking stage co-partitions with
+  (stages/blocking.py), so the engine leans on a single well-tested
+  shuffle path.
 
 Both paths return the same rows under one Arrow schema (keys, left values,
 right values). On the synthetic transcript corpus 128 MiB holds about 4.8M
@@ -110,8 +111,7 @@ def _probe_structure(t: pa.Table, keys: list[str]):
 
 
 def hash_join(left, right, *, on: str | list[str], right_on=None,
-              how: str = "inner", suffixes=("", "_r"),
-              num_partitions: int | None = None):
+              how: str = "inner", suffixes=("", "_r")):
     """Equi-join two Datasets. ``how`` in inner/left/outer/semi/anti
     (right join = ``hash_join(right, left, how="left")``).
 
@@ -129,7 +129,9 @@ def hash_join(left, right, *, on: str | list[str], right_on=None,
 
     The (projected) right side is materialized once; broadcast or shuffle
     is chosen here from its size (``BROADCAST_MAX_BYTES``, module
-    docstring); "outer" always shuffles.
+    docstring); "outer" always shuffles. The shuffle's width is
+    ``grouped_map``'s: ``shuffle_width`` of the tagged rows. The caller
+    sets neither the path nor the width.
     """
     if how not in ("inner", "left", "outer", "semi", "anti"):
         raise ValueError(
@@ -177,8 +179,7 @@ def hash_join(left, right, *, on: str | list[str], right_on=None,
     spec = dict(how=how, on=on, right_on=right_on, lsrc=lsrc, rsrc=rsrc,
                 out_schema=out_schema)
     if how == "outer" or right.size_bytes() > BROADCAST_MAX_BYTES:
-        joined = _shuffle_join(left, right, num_partitions=num_partitions,
-                               **spec)
+        joined = _shuffle_join(left, right, **spec)
     else:
         joined = _broadcast_probe(left, right, pa.schema(list(rtypes.items())),
                                   **spec)
@@ -244,8 +245,7 @@ def _broadcast_probe(left, right, rschema, *, how, on, right_on, lsrc, rsrc,
     return left.map_batches(probe, batch_format="pyarrow")
 
 
-def _shuffle_join(left, right, *, how, on, right_on, lsrc, rsrc, out_schema,
-                  num_partitions):
+def _shuffle_join(left, right, *, how, on, right_on, lsrc, rsrc, out_schema):
     """Tagged union of both sides through one hash-partitioned shuffle;
     each coarse partition is joined by one vectorized pandas merge."""
     import pyarrow.compute as pc
@@ -294,8 +294,7 @@ def _shuffle_join(left, right, *, how, on, right_on, lsrc, rsrc, out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
     from .grouped import grouped_map
-    joined = grouped_map(tagged, on, join_partition,
-                         num_partitions=num_partitions)
+    joined = grouped_map(tagged, on, join_partition)
 
     def null_keyed(keys, src):
         def fn(t: pa.Table) -> pa.Table:

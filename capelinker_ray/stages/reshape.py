@@ -141,8 +141,7 @@ def melt(ds, id_cols, value_cols, *, var_col: str = "variable",
 
 
 def share_of_group(ds, key_cols, val_col: str, *,
-                   out_col: str = "share",
-                   num_partitions: int | None = None):
+                   out_col: str = "share"):
     """Each row's share of its group's total — SQL ``val / sum(val) OVER
     (PARTITION BY key)``. ONE co-partitioning shuffle, vectorized
     grouped transform; groups totaling 0 (or all-null) yield null
@@ -167,5 +166,4 @@ def share_of_group(ds, key_cols, val_col: str, *,
         return df
 
     from .grouped import grouped_map
-    return grouped_map(ds, key_cols, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_cols, per_partition)

@@ -116,8 +116,7 @@ def weighted_sample_topk(ds, id_col: str, weight_col: str, k: int,
 
 
 def grouped_weighted_sample(ds, group_col: str, id_col: str,
-                            weight_col: str, k: int, seed: int = 0,
-                            num_partitions: int | None = None):
+                            weight_col: str, k: int, seed: int = 0):
     """Weighted sample WITHOUT replacement of ``k`` rows PER GROUP
     (Efraimidis-Spirakis A-Res per stratum): each row draws the same
     deterministic exponential key as :func:`weighted_sample_topk` and the
@@ -162,8 +161,7 @@ def grouped_weighted_sample(ds, group_col: str, id_col: str,
         return cap(d)
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    merged = grouped_map(partials, group_col, cap,
-                         num_partitions=num_partitions)
+    merged = grouped_map(partials, group_col, cap)
     return merged.drop_columns(["_es"])
 
 
@@ -187,8 +185,7 @@ def grouped_split(ds, key_col: str, test_frac: float, seed: int = 0,
 
 
 def top_k_per_group(ds, key_col: str, value_col: str, id_col: str,
-                    k: int, ascending: bool = False,
-                    num_partitions: int | None = None):
+                    k: int, ascending: bool = False):
     """Keep the ``k`` rows with the largest (default) or smallest
     ``value_col`` per key, ties broken by id ascending — 'top 5 docs per
     language by quality'. One grouped_map shuffle; deterministic. Null
@@ -205,11 +202,11 @@ def top_k_per_group(ds, key_col: str, value_col: str, id_col: str,
         keep = df.groupby(key_col, sort=False, dropna=False).cumcount() < k
         return df[keep.to_numpy()]
 
-    return grouped_map(ds, key_col, cap, num_partitions=num_partitions)
+    return grouped_map(ds, key_col, cap)
 
 
 def stratified_sample(ds, key_col: str, id_col: str, n_per_key: int,
-                      seed: int = 0, num_partitions: int | None = None,
+                      seed: int = 0,
                       pre_salt: int | None = None):
     """Keep the ``n_per_key`` rows with the smallest (hash, id) per key —
     the 'cap every domain at n documents' curation op. Deterministic: the
@@ -248,14 +245,11 @@ def stratified_sample(ds, key_col: str, id_col: str, n_per_key: int,
 
         phase1 = grouped_map(
             ds.map_batches(add_salt, batch_format="pandas"),
-            [key_col, "_salt"], cap_fn([key_col, "_salt"]),
-            num_partitions=num_partitions)
+            [key_col, "_salt"], cap_fn([key_col, "_salt"]))
         phase1 = phase1.drop_columns(["_salt"])
-        return grouped_map(phase1, key_col, cap_fn(key_col),
-                           num_partitions=num_partitions)
+        return grouped_map(phase1, key_col, cap_fn(key_col))
 
-    return grouped_map(ds, key_col, cap_fn(key_col),
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_col, cap_fn(key_col))
 
 
 def mixture_sample(ds, id_col: str, group_col: str, rates: dict,

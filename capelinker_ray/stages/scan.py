@@ -389,8 +389,7 @@ def mad_outliers(ds, col: str, *, k: float = 3.0, scale: float = 1.4826,
 
 
 def grouped_range_sum(ds, key_col: str, ts_col: str, val_col: str,
-                      window_s: float, out_col: str = "range_sum",
-                      num_partitions: int | None = None):
+                      window_s: float, out_col: str = "range_sum"):
     """Trailing TIME-range window sum per key — SQL ``sum(val) OVER
     (PARTITION BY key ORDER BY ts RANGE BETWEEN INTERVAL w PRECEDING AND
     CURRENT ROW)``: every row carries the sum of its key's values in
@@ -426,8 +425,7 @@ def grouped_range_sum(ds, key_col: str, ts_col: str, val_col: str,
         return out.drop(columns=["_ts"])
 
     from .grouped import grouped_map
-    return grouped_map(ds, key_col, per_partition,
-                       num_partitions=num_partitions)
+    return grouped_map(ds, key_col, per_partition)
 
 
 def winsorize(ds, col: str, *, lower_q: float = 0.01,

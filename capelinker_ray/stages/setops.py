@@ -36,8 +36,7 @@ def _cols(ds, cols):
     return list(ds.schema().names) if cols is None else list(cols)
 
 
-def distinct_rows(ds, cols: list | None = None,
-                  num_partitions: int | None = None):
+def distinct_rows(ds, cols: list | None = None):
     """Globally distinct rows over ``cols`` (default: all columns)."""
     cols = _cols(ds, cols)
 
@@ -48,7 +47,7 @@ def distinct_rows(ds, cols: list | None = None,
     local = ds.select_columns(cols).map_batches(
         lambda df: typed_or_empty(df.drop_duplicates()),
         batch_format="pandas")
-    return grouped_map(local, cols, dedup, num_partitions=num_partitions)
+    return grouped_map(local, cols, dedup)
 
 
 def intersect_distinct(a, b, cols: list | None = None):

@@ -24,7 +24,11 @@ import pandas as pd
 import ray
 
 __all__ = ["brute_force_topk", "ivf_topk", "kmeans_centroids", "knn_join",
-           "assign_clusters"]
+           "assign_clusters", "KNN_BROADCAST_MAX_BYTES"]
+
+# knn_join(method="broadcast") refuses an id/vector matrix estimated above
+# this many float64 bytes (read at call time)
+KNN_BROADCAST_MAX_BYTES = 1 << 31
 
 
 def _norm_rows(M: np.ndarray) -> np.ndarray:
@@ -159,16 +163,15 @@ def ivf_topk(ds, queries: np.ndarray, *, k: int = 5,
 def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
              id_col: str = "vec_id", method: str = "broadcast",
              n_centroids: int | str = "auto", n_probe: int = 4,
-             seed: int = 7, round_decimals: int = 9,
-             max_broadcast_bytes: int = 1 << 31,
-             num_partitions: int | None = None):
+             seed: int = 7, round_decimals: int = 9):
     """Self k-nearest-neighbor join: for every row, its top-``k`` cosine
     neighbors among all OTHER rows — the build step of any embedding
     kNN graph (near-dup clustering, label propagation, retrieval eval).
 
     ``method="broadcast"`` is EXACT: the (id, normalized-matrix) pair
     rides the object store once via ``ray.put`` and every batch does one
-    float64 matmul against it (gated at ``max_broadcast_bytes``).
+    float64 matmul against it. A matrix estimated above
+    ``KNN_BROADCAST_MAX_BYTES`` raises ``ValueError`` before any collect.
     ``method="ivf"`` is the 100-TB scale path: rows are bucketed to
     ~sqrt(N) k-means lists, each QUERY row is replicated to its
     ``n_probe`` nearest lists, ONE co-partitioning shuffle computes exact
@@ -202,10 +205,10 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
         first = ds.take(1)
         dim = len(first[0][vec_col]) if first else 0
         est = n_rows * dim * 8
-        if est > max_broadcast_bytes:
+        if est > KNN_BROADCAST_MAX_BYTES:
             raise ValueError(
-                f"~{est}B matrix exceeds max_broadcast_bytes "
-                f"({max_broadcast_bytes}); use method='ivf'")
+                f"~{est}B matrix exceeds KNN_BROADCAST_MAX_BYTES "
+                f"({KNN_BROADCAST_MAX_BYTES}); use method='ivf'")
         slim = ds.select_columns([id_col, vec_col]).to_pandas()
         ids = slim[id_col].to_numpy()
         order = np.argsort(ids, kind="stable")   # ties -> id-asc for free
@@ -294,8 +297,7 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
             return typed_or_empty(out_empty)
         return pd.concat(parts, ignore_index=True)
 
-    cands = grouped_map(fanned, "_list", in_list,
-                        num_partitions=num_partitions)
+    cands = grouped_map(fanned, "_list", in_list)
 
     def merge(frame: pd.DataFrame) -> pd.DataFrame:
         if not len(frame):
@@ -306,5 +308,4 @@ def knn_join(ds, *, k: int = 5, vec_col: str = "embedding",
         frame = frame.drop_duplicates(subset=[id_col, "nbr_id"])
         return rank_topk(frame, id_col)
 
-    return grouped_map(cands, id_col, merge,
-                       num_partitions=num_partitions)
+    return grouped_map(cands, id_col, merge)

@@ -124,11 +124,9 @@ def test_broadcast_jw_candidates(ray_session):
     assert set(out.loc[out["persid_to"].isna(), "persid_from"]) == {3}
 
 
-def test_hash_shuffle_pairs_parity(ray_session, monkeypatch):
-    """The pair exchange runs Ray's hash shuffle above
-    grouped.HASH_SHUFFLE_MIN_ROWS tagged rows and the sort shuffle below.
-    A zero gate forces the hash shuffle, which must give the default
-    path's pairs and features: self-link and two-sided, with salted hot
+def test_pair_exchange_width_invariant(ray_session, monkeypatch):
+    """The pair exchange forced to width 1 and to width 8 gives the same
+    pairs and features: self-link and two-sided, with salted hot
     blocks."""
     from capelinker_ray import synth
     from capelinker_ray.pipelines.linkage import PAIR_ATTR_COLS
@@ -145,7 +143,9 @@ def test_hash_shuffle_pairs_parity(ray_session, monkeypatch):
               attr_cols=PAIR_ATTR_COLS, max_block_pairs=50)
     keys = ["conv_id_from", "conv_id_to"]
 
-    def run():
+    def run(width):
+        monkeypatch.setattr(grouped, "heavy_width",
+                            lambda n_rows, cap: width)
         self_link = candidates(rd.from_pandas(recs), None,
                                keep_unmatched=False, **kw)
         two_sided = candidates(rd.from_pandas(recs[side]),
@@ -153,10 +153,8 @@ def test_hash_shuffle_pairs_parity(ray_session, monkeypatch):
         return [add_pair_features(c).to_pandas().sort_values(keys)
                 .reset_index(drop=True) for c in (self_link, two_sided)]
 
-    default = run()
-    monkeypatch.setattr(grouped, "HASH_SHUFFLE_MIN_ROWS", 0)
-    hashed = run()
-    assert len(default[0]) > 0
-    assert default[1]["conv_id_to"].notna().any()
-    for a, b in zip(default, hashed):
+    narrow, wide = run(1), run(8)
+    assert len(narrow[0]) > 0
+    assert narrow[1]["conv_id_to"].notna().any()
+    for a, b in zip(narrow, wide):
         pd.testing.assert_frame_equal(a, b[a.columns])

@@ -1,12 +1,23 @@
 """Bloom filter + bloom-prefiltered exact joins (stages/bloom.py)."""
 
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
-from capelinker_ray.stages.bloom import (BloomFilter, bloom_anti_join,
+from capelinker_ray.stages import grouped, join
+from capelinker_ray.stages.bloom import (BloomFilter, _key_hash, _MASK64,
+                                         _splitmix64, bloom_anti_join,
                                          bloom_build, bloom_semi_join)
+
+
+@pytest.fixture
+def four_reducers(monkeypatch):
+    """Force hash_join's shuffle path at a pinned width of 4 reducers."""
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(grouped, "shuffle_width", lambda n, cap=None: 4)
 
 
 def test_bloom_no_false_negatives_and_low_fpp():
@@ -21,6 +32,25 @@ def test_bloom_no_false_negatives_and_low_fpp():
     assert fp < 0.05                                      # ~1% target
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 2**63 + 12345, 2**64 - 1])
+def test_bloom_positions_silent_and_wrapped(seed):
+    """The seed salt is the uint64 product wrapped mod 2^64, computed
+    without NumPy's scalar-overflow warning; positions stay bit-identical
+    to the wrapped uint64 formula."""
+    bf = BloomFilter(1 << 20, 7, seed=seed)
+    hashed = _key_hash(np.arange(50, dtype=np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos = bf._positions(hashed)
+    with np.errstate(over="ignore"):
+        salt = np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15) & _MASK64
+        h2 = _splitmix64(hashed ^ salt) | np.uint64(1)
+        expect = np.stack([((hashed + np.uint64(i) * h2) & _MASK64)
+                           % np.uint64(1 << 20) for i in range(7)])
+    assert pos.dtype == np.uint64
+    assert (pos == expect).all()
+
+
 def test_bloom_build_partials_or_merge(ray_session):
     df = pd.DataFrame({"k": np.arange(500, dtype=np.int64)})
     whole = bloom_build(rd.from_pandas(df), "k", expected=500, seed=3)
@@ -29,7 +59,8 @@ def test_bloom_build_partials_or_merge(ray_session):
     assert (whole.words == parts.words).all()             # OR is exact
 
 
-def test_bloom_anti_join_exact_even_with_forced_fpp(ray_session):
+def test_bloom_anti_join_exact_even_with_forced_fpp(ray_session,
+                                                    four_reducers):
     rng = np.random.default_rng(4)
     left = pd.DataFrame({"k": rng.integers(0, 1000, 5000).astype(np.int64),
                          "v": np.arange(5000, dtype=np.int64)})
@@ -37,14 +68,13 @@ def test_bloom_anti_join_exact_even_with_forced_fpp(ray_session):
     # num_bits=64 forces massive false positives; result must stay exact
     out = bloom_anti_join(rd.from_pandas(left).repartition(4),
                           rd.from_pandas(right), on="k",
-                          num_partitions=4,
                           expected=len(right)).to_pandas()
     expect = left[~left["k"].isin(set(right["k"]))]
     assert len(out) == len(expect)
     assert set(out["v"]) == set(expect["v"])
 
     tiny = bloom_anti_join(rd.from_pandas(left), rd.from_pandas(right),
-                           on="k", num_partitions=4, expected=1,
+                           on="k", expected=1,
                            fpp=0.5).to_pandas()
     assert set(tiny["v"]) == set(expect["v"])
 
@@ -59,14 +89,13 @@ def test_bloom_anti_join_null_keys_kept(ray_session):
     assert set(out["v"]) == {1, 2, 3}
 
 
-def test_bloom_semi_join_matches_exact(ray_session):
+def test_bloom_semi_join_matches_exact(ray_session, four_reducers):
     rng = np.random.default_rng(9)
     left = pd.DataFrame({"k": rng.integers(0, 200, 2000).astype(np.int64),
                          "v": np.arange(2000, dtype=np.int64)})
     right = pd.DataFrame({"k": np.arange(0, 200, 5, dtype=np.int64)})
     out = bloom_semi_join(rd.from_pandas(left).repartition(3),
-                          rd.from_pandas(right), on="k",
-                          num_partitions=4).to_pandas()
+                          rd.from_pandas(right), on="k").to_pandas()
     expect = left[left["k"].isin(set(right["k"]))]
     assert set(out["v"]) == set(expect["v"])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from capelinker_ray.stages import grouped
 from capelinker_ray.stages.cdc import compact_latest
 from capelinker_ray.stages.events import funnel, resample_ffill
 
@@ -12,14 +13,22 @@ def _ts(*secs):
     return pd.to_datetime(list(secs), unit="s")
 
 
-def test_compact_latest_keeps_newest_with_tiebreak(ray_session):
+def _pin_width(monkeypatch, width):
+    """Every grouped_map shuffle runs ``width`` reducers, so keys spread
+    over more than one partition even at a few rows."""
+    monkeypatch.setattr(grouped, "shuffle_width",
+                        lambda n_rows, cap=None: width)
+
+
+def test_compact_latest_keeps_newest_with_tiebreak(ray_session, monkeypatch):
     df = pd.DataFrame({
         "k": [1, 1, 1, 2, 2],
         "ts": _ts(10, 30, 30, 5, 1),
         "seq": [0, 1, 2, 0, 1],
         "v": ["a", "b", "c", "d", "e"]})
+    _pin_width(monkeypatch, 4)
     out = (compact_latest(rd.from_pandas(df).repartition(3), "k", "ts",
-                          tiebreak_cols="seq", num_partitions=4)
+                          tiebreak_cols="seq")
            .to_pandas().sort_values("k"))
     # k=1: ts ties at 30 -> seq 2 wins; k=2: ts=5 wins
     assert out["v"].tolist() == ["c", "d"]
@@ -50,13 +59,13 @@ def test_compact_latest_tombstone_drops_key(ray_session):
     assert out["v"].tolist() == [4, 5]
 
 
-def test_funnel_strict_order_and_stall(ray_session):
+def test_funnel_strict_order_and_stall(ray_session, monkeypatch):
     df = pd.DataFrame({
         "user_id": [1, 1, 1, 2, 2, 3, 3, 3],
         "ts": _ts(10, 20, 30, 40, 50, 10, 10, 5),
         "event_type": ["a", "b", "c", "b", "a", "a", "b", "b"]})
-    out = (funnel(rd.from_pandas(df).repartition(3), ["a", "b", "c"],
-                  num_partitions=4)
+    _pin_width(monkeypatch, 4)
+    out = (funnel(rd.from_pandas(df).repartition(3), ["a", "b", "c"])
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     assert out["steps_completed"].tolist() == [3, 1, 1]
     # user 2: b happens BEFORE a -> funnel stalls after a
@@ -74,7 +83,7 @@ def test_funnel_user_without_first_step(ray_session):
     assert pd.isna(out["t1"]).all()
 
 
-def test_resample_ffill_matches_bruteforce(ray_session):
+def test_resample_ffill_matches_bruteforce(ray_session, monkeypatch):
     rng = np.random.default_rng(11)
     rows = []
     for u in range(5):
@@ -83,10 +92,11 @@ def test_resample_ffill_matches_bruteforce(ray_session):
             rows.append((u, t, float(rng.normal()), i))
     df = pd.DataFrame(rows, columns=["user_id", "sec", "value", "eid"])
     df["ts"] = pd.to_datetime(df["sec"], unit="s")
+    _pin_width(monkeypatch, 4)
     out = (resample_ffill(rd.from_pandas(df).repartition(4),
                           key_col="user_id", ts_col="ts",
                           value_col="value", every_s=100.0,
-                          tiebreak_col="eid", num_partitions=4)
+                          tiebreak_col="eid")
            .to_pandas())
     for u, g in df.groupby("user_id"):
         lo, hi = g["sec"].min() // 100, g["sec"].max() // 100
@@ -118,19 +128,19 @@ def test_resample_ffill_tie_dedup_and_inclusive_edge(ray_session):
     assert out["value"].tolist() == [6.0, 6.0]
 
 
-def test_mode_by_ties_and_partials(ray_session):
+def test_mode_by_ties_and_partials(ray_session, monkeypatch):
     from capelinker_ray.stages.agg import mode_by
     df = pd.DataFrame({"k": [1] * 5 + [2] * 4,
                        "v": ["b", "b", "a", "a", "c", "z", "y", "z", "y"]})
-    out = (mode_by(rd.from_pandas(df).repartition(4), "k", "v",
-                   num_partitions=3)
+    _pin_width(monkeypatch, 3)
+    out = (mode_by(rd.from_pandas(df).repartition(4), "k", "v")
            .to_pandas().sort_values("k").reset_index(drop=True))
     # k=1: a and b tie at 2 -> smallest value wins; k=2: y/z tie -> y
     assert out["mode"].tolist() == ["a", "y"]
     assert out["n"].tolist() == [2, 2]
 
 
-def test_snapshot_diff_statuses(ray_session):
+def test_snapshot_diff_statuses(ray_session, monkeypatch):
     from capelinker_ray.stages.cdc import snapshot_diff
     old = pd.DataFrame({"k": [1, 2, 3, 4],
                         "a": [10, 20, 30, 40],
@@ -138,9 +148,9 @@ def test_snapshot_diff_statuses(ray_session):
     new = pd.DataFrame({"k": [2, 3, 4, 5],
                         "a": [20, 31, 40, 50],
                         "b": ["y", "z", "w", "v"]})
+    _pin_width(monkeypatch, 4)
     out = (snapshot_diff(rd.from_pandas(old).repartition(2),
-                         rd.from_pandas(new).repartition(3), "k",
-                         num_partitions=4)
+                         rd.from_pandas(new).repartition(3), "k")
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert out["k"].tolist() == [1, 3, 5]
     assert out["status"].tolist() == ["removed", "changed", "added"]

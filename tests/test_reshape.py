@@ -63,12 +63,14 @@ def test_melt_include_nulls_and_order(ray_session):
     assert out.loc[0, "value"] == 1.0 and pd.isna(out.loc[2, "value"])
 
 
-def test_share_of_group_sums_to_one(ray_session):
+def test_share_of_group_sums_to_one(ray_session, monkeypatch):
+    from capelinker_ray.stages import grouped
     from capelinker_ray.stages.reshape import share_of_group
     df = pd.DataFrame({"k": [1, 1, 1, 2, 2, 3],
                        "v": [1.0, 2.0, 3.0, 5.0, np.nan, 0.0]})
-    out = (share_of_group(rd.from_pandas(df).repartition(3), "k", "v",
-                          num_partitions=4).to_pandas())
+    monkeypatch.setattr(grouped, "shuffle_width", lambda n_rows, cap=None: 4)
+    out = share_of_group(rd.from_pandas(df).repartition(3), "k",
+                         "v").to_pandas()
     s1 = out[out["k"] == 1]["share"]
     assert np.isclose(s1.sum(), 1.0)
     # null value -> null share, but doesn't break the group total

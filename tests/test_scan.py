@@ -230,15 +230,17 @@ def test_histogram_counts_and_clamping(ray_session):
     assert out["lo_edge"].tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
-def test_grouped_range_sum_peers_and_edges(ray_session):
+def test_grouped_range_sum_peers_and_edges(ray_session, monkeypatch):
+    from capelinker_ray.stages import grouped
     from capelinker_ray.stages.scan import grouped_range_sum
     ts = pd.to_datetime([0, 50, 100, 100, 160, 0], unit="s")
     df = pd.DataFrame({"k": [1, 1, 1, 1, 1, 2],
                        "ts": ts,
                        "v": [1.0, 2.0, 4.0, 8.0, 16.0, 5.0],
                        "i": range(6)})
+    monkeypatch.setattr(grouped, "shuffle_width", lambda n_rows, cap=None: 4)
     out = (grouped_range_sum(rd.from_pandas(df).repartition(3), "k", "ts",
-                             "v", window_s=100.0, num_partitions=4)
+                             "v", window_s=100.0)
            .to_pandas().sort_values("i"))
     # window [t-100, t] inclusive; exact-ts PEERS both included:
     # t=0: 1 | t=50: 3 | t=100 (both rows): 1+2+4+8=15 | t=160: 4+8+16=28

@@ -106,15 +106,17 @@ def test_knn_join_broadcast_excludes_self_and_ranks(ray_session):
     assert list(got) == list(want)
 
 
-def test_knn_join_broadcast_size_gate(ray_session):
-    from capelinker_ray.stages.simsearch import knn_join
+def test_knn_join_broadcast_size_gate(ray_session, monkeypatch):
+    from capelinker_ray.stages import simsearch
     df = pd.DataFrame({"vec_id": np.arange(10, dtype=np.int64),
                        "embedding": list(np.ones((10, 4), np.float32))})
+    monkeypatch.setattr(simsearch, "KNN_BROADCAST_MAX_BYTES", 16)
     with pytest.raises(ValueError, match="ivf"):
-        knn_join(rd.from_pandas(df), k=2, max_broadcast_bytes=16)
+        simsearch.knn_join(rd.from_pandas(df), k=2)
 
 
-def test_knn_join_ivf_recall_vs_broadcast(ray_session):
+def test_knn_join_ivf_recall_vs_broadcast(ray_session, monkeypatch):
+    from capelinker_ray.stages import grouped
     from capelinker_ray.stages.simsearch import knn_join
     rng = np.random.default_rng(12)
     # clustered data so IVF lists are meaningful
@@ -125,8 +127,10 @@ def test_knn_join_ivf_recall_vs_broadcast(ray_session):
                        "embedding": list(V)})
     ds = rd.from_pandas(df).repartition(4)
     exact = knn_join(ds, k=3).to_pandas()
-    approx = knn_join(ds, k=3, method="ivf", n_centroids=6, n_probe=3,
-                      num_partitions=4).to_pandas()
+    # four reducers per shuffle, so lists and queries span partitions
+    monkeypatch.setattr(grouped, "shuffle_width", lambda n_rows, cap=None: 4)
+    approx = knn_join(ds, k=3, method="ivf", n_centroids=6,
+                      n_probe=3).to_pandas()
     te = set(map(tuple, exact[["vec_id", "nbr_id"]].to_numpy()))
     ta = set(map(tuple, approx[["vec_id", "nbr_id"]].to_numpy()))
     recall = len(te & ta) / len(te)
