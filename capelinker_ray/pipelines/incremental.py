@@ -42,7 +42,7 @@ from ..stages.blocking import DEFAULT_MAX_BLOCK_PAIRS, candidates
 from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records
 from ..stages.features import TRANSCRIPT_FEATURES, add_pair_features
-from ..stages.grouped import default_partitions, grouped_map
+from ..stages.grouped import grouped_map, widen
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
@@ -93,8 +93,8 @@ def assign_to_entities(new_turns, base_records, base_entities, *,
     ck = CheckpointManager(checkpoint_dir)
 
     # one small file is ONE block: spread it so the map stages run in
-    # parallel (the same repartition link_transcripts makes)
-    new_turns = new_turns.repartition(default_partitions())
+    # parallel (the same widening link_transcripts makes)
+    new_turns = widen(new_turns)
 
     from ..stages.conv_records import BLOCK_PREFIX_LEN
     if block_prefix_len is None:

@@ -26,7 +26,7 @@ from ..stages.blocking import DEFAULT_MAX_BLOCK_PAIRS, candidates
 from ..stages.cluster import attach_entity_ids, connected_components
 from ..stages.conv_records import build_conv_records, collect_tool_vocab
 from ..stages.features import TRANSCRIPT_FEATURES, add_pair_features
-from ..stages.grouped import default_partitions, heavy_width
+from ..stages.grouped import default_partitions, heavy_width, widen
 from ..stages.join import hash_join
 from ..stages.normalize import normalize_turns
 from ..stages.selection import select_links
@@ -95,7 +95,8 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
     # many-file reads — it decouples the parquet scan from the heavy
     # normalize+partials map, and its cost is below the fusion's
     # scan-blocked slot idle. Width barely matters (16/32/64 within 1 s).
-    ds_turns = ds_turns.repartition(default_partitions())
+    # A lazy input (a parquet read) is always repartitioned.
+    ds_turns = widen(ds_turns)
 
     from ..stages.conv_records import BLOCK_PREFIX_LEN
     if block_prefix_len is None:

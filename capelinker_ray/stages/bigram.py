@@ -27,8 +27,10 @@ no pre-block (the within-block form lives in stages/blocking.py):
           rarest shared indexed dim — enforced by a second (presence)
           matmul (`lower-shared == 0`), so no cross-group pair dedup
           shuffle is needed.
-  pass 4  `matches` + outer retention: union with a from-side stub and one
-          grouped resolve per id_from (candidates.R:118-132 semantics).
+  pass 4  `matches` + outer retention: per-batch id_from counts (plus a
+          zero row per from-record) summed in one grouped pass and
+          hash-joined back onto the pairs; from-ids whose sum is 0 become
+          the retained null rows (candidates.R:118-132 semantics).
 
 Scale notes: work is proportional to Σ_dim nf_dim × nt_dim over SHARED
 dims only (the reference pays n_from × n_to always); prefix filtering
@@ -37,7 +39,7 @@ exceeds ``max_block_pairs`` are salted (from-rows sharded, to-rows
 replicated) so no single task exceeds the cap. Value parity target:
 kernels/strdist.bigram_cosine_matrix (itself pytest-pinned to the
 reference's roxygen example). Output ids are normalized to strings so the
-pair/stub union hash-partitions consistently.
+pair ids and the from-side zero-count rows share one key type.
 """
 
 from __future__ import annotations
@@ -49,16 +51,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
-from .grouped import grouped_map
+from .grouped import grouped_map, widen
+from .join import hash_join
 
 __all__ = ["bigram_candidates"]
 
 _SEP = "\x00"
 _CODE_BASE = np.int64(0x110000)  # > max unicode codepoint
-# broadcast bound for the matches fast path (engine-wide 5M convention)
-_BROADCAST_FROM_IDS = 5_000_000
 
 
 def _batch_bigrams(strings: np.ndarray):
@@ -389,8 +389,7 @@ def _pairs_fn(maxsim: float, self_link: bool):
 def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
                       id_col: str, maxdist: float = 0.15, idf: bool = False,
                       keep_unmatched: bool = True,
-                      max_block_pairs: int | None = None,
-                      broadcast_from_ids: int = _BROADCAST_FROM_IDS):
+                      max_block_pairs: int | None = None):
     """Corpus-wide bigram-cosine candidate pairs (no pre-block).
 
     Semantics of candidates.R:82-96 (``idf=True``: :97-112): keep (from,
@@ -406,15 +405,12 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
 
     ``ds_to=None`` runs the self-link variant (id_from < id_to).
     Returns Dataset[(id_from:str, id_to:str, score, matches)] — join
-    attributes back with stages.join.hash_join / broadcast_join; shipping
-    wide rows through the bigram shuffle would multiply its bytes by
-    dims-per-record.
+    attributes back with ``attach_pair_attrs``; shipping wide rows through
+    the bigram shuffle would multiply its bytes by dims-per-record.
 
-    ``matches`` is computed by partial per-batch counts combined into an
-    nf-bounded table and broadcast over the streaming pair set — no
-    second all-to-all of pair rows. Above ``broadcast_from_ids`` distinct
-    from-ids the table no longer fits a broadcast and the stage falls
-    back to co-partitioning pairs by id_from.
+    ``matches`` comes from per-batch partial counts summed into an
+    nf-bounded table that ``hash_join`` joins back onto the pairs
+    (broadcast while small, so the pair rows never shuffle by id_from).
     """
     from .blocking import DEFAULT_MAX_BLOCK_PAIRS
     if maxdist > 1.0:
@@ -435,7 +431,6 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
 
     slim_cols = [id_col, blockvariable]
     f_slim = ds_from.select_columns(slim_cols)
-    f_only = f_slim.map_batches(tag("F"), batch_format="pyarrow")
     if self_link:
         def tag_both(t: pa.Table) -> pa.Table:
             n = len(t)
@@ -445,7 +440,7 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
         tagged = f_slim.map_batches(tag_both, batch_format="pyarrow")
     else:
         t_slim = ds_to.select_columns(slim_cols)
-        tagged = f_only.union(
+        tagged = f_slim.map_batches(tag("F"), batch_format="pyarrow").union(
             t_slim.map_batches(tag("T"), batch_format="pyarrow"))
     # pin explode/df-count parallelism to the session, not to however the
     # caller's input was laid out: a single-block source (from_pandas, one
@@ -453,11 +448,7 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
     # task (measured: 30-50 s serial on a 330k-row corpus, 0 scaling).
     # Only widen narrow layouts — an input already wider than the session
     # target (the normal case on a real cluster) keeps its blocks.
-    from .grouped import default_partitions
-    tagged = tagged.materialize()
-    target = default_partitions()
-    if tagged.num_blocks() < target:
-        tagged = tagged.repartition(target).materialize()
+    tagged = widen(tagged.materialize()).materialize()
 
     # pass 1: df + N -> rarest-first rank order + idf weights, broadcast
     codes, dfs, n_total = _df_and_n(tagged, blockvariable)
@@ -492,98 +483,56 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
 
     # pass 4: matches + outer retention. ids normalized to strings on
     # BOTH branches: a pandas/arrow dtype mismatch would hash-partition
-    # (or map) the same id to different keys.
+    # the same id to different keys.
     def norm_pairs(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["id_from"] = df["id_from"].astype(str)
         df["id_to"] = df["id_to"].astype(str)
         return df
 
-    norm = pairs.map_batches(norm_pairs, batch_format="pandas")
+    norm = pairs.map_batches(norm_pairs, batch_format="pandas").materialize()
 
-    # fast path: per-id_from counts are nf-bounded — partial-count each
-    # batch, combine the partials (a shuffle of count rows, not pair
-    # rows), and broadcast the result back over the streaming pair set.
-    # This skips re-shuffling every pair by id_from just to count them.
-    # Eligibility is the tagged corpus ROW count (an upper bound on
-    # distinct from-ids; 5M, the engine-wide broadcast bound) — free on
-    # the already-materialized corpus, no distinct shuffle and no
-    # re-execution of the caller's lazy chain. Conservative: a huge
-    # to-side forces the fallback even when nf alone would fit.
-    if tagged.count() <= broadcast_from_ids:
-        norm = norm.materialize()
+    # per-id_from counts are nf-bounded: partial-count each batch (plus
+    # one zero row per from-record when unmatched ones are kept), sum the
+    # partials, and join the sums back onto the pairs — hash_join
+    # broadcasts or shuffles them by their measured size
+    def pcount(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.groupby("id_from", sort=False).size()
+                .rename("n").reset_index())
 
-        def pcount(df: pd.DataFrame) -> pd.DataFrame:
-            return (df.groupby("id_from", sort=False).size()
-                    .rename("n").reset_index())
+    partials = norm.map_batches(pcount, batch_format="pandas")
+    if keep_unmatched:
+        def zero(t: pa.Table) -> pa.Table:
+            return pa.table({"id_from": t[id_col].cast(pa.string()),
+                             "n": pa.array(np.zeros(len(t), np.int64))})
+        partials = partials.union(
+            f_slim.map_batches(zero, batch_format="pyarrow"))
 
-        counts = grouped_map(
-            norm.map_batches(pcount, batch_format="pandas"), "id_from",
-            lambda df: (df.groupby("id_from", sort=False)["n"].sum()
-                        .reset_index())).to_pandas()
-        if len(counts):
-            cseries = pd.Series(counts["n"].to_numpy(np.float64),
-                                index=counts["id_from"])
-        else:
-            cseries = pd.Series(dtype=np.float64)
-        cref = ray.put(cseries)
+    count_schema = pa.schema([("id_from", pa.string()),
+                              ("matches", pa.float64())])
 
-        def add_matches(df: pd.DataFrame) -> pd.DataFrame:
-            # positional indexer lookup (the broadcast_join idiom,
-            # join.py) — one hashed get_indexer per batch instead of a
-            # per-value Series.map
-            from .bcast import cached_get
-            cs = cached_get(cref)
-            pos = cs.index.get_indexer(df["id_from"].to_numpy())
-            vals = cs.to_numpy()[np.where(pos >= 0, pos, 0)]
-            return df.assign(
-                matches=np.where(pos >= 0, vals, np.nan).astype(np.float64))
+    def total(df: pd.DataFrame) -> pa.Table:
+        # dropna=False: a from-record with a null id still gets its stub
+        out = df.groupby("id_from", sort=False, dropna=False)["n"].sum()
+        return pa.table({"id_from": pa.array(out.index.to_numpy(object),
+                                             pa.string()),
+                         "matches": pa.array(out.to_numpy(np.float64))},
+                        schema=count_schema)
 
-        out = norm.map_batches(add_matches, batch_format="pandas")
-        if keep_unmatched:
-            def distinct_fid(t: pa.Table) -> pa.Table:
-                return pa.table(
-                    {"id_from": pc.unique(t[id_col].cast(pa.string()))})
-
-            fdf = (f_only.map_batches(distinct_fid, batch_format="pyarrow")
-                   .to_pandas())
-            if "id_from" not in fdf.columns:   # empty corpus loses columns
-                fdf = pd.DataFrame({"id_from": pd.Series(dtype=object)})
-            fdf = fdf.drop_duplicates("id_from")
-            un = fdf[~fdf["id_from"].isin(cseries.index)]
-            if len(un):
-                stubs = pd.DataFrame({
-                    "id_from": un["id_from"].to_numpy(object),
-                    "id_to": pd.array([None] * len(un), dtype=object),
-                    "score": np.full(len(un), np.nan),
-                    "matches": np.zeros(len(un))})
-                out = out.union(rd.from_pandas(stubs))
+    counts = grouped_map(partials, "id_from", total).materialize()
+    out = hash_join(norm, counts, on="id_from")
+    if not keep_unmatched:
         return out
 
-    # fallback: co-partition pairs (+ one stub per from row) by id_from
-    both = norm
-    if keep_unmatched:
-        def stub(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "id_from": t[id_col].cast(pa.string()),
-                "id_to": pa.array([None] * len(t), pa.string()),
-                "score": pa.array([None] * len(t), pa.float64()),
-            })
-        both = both.union(f_only.map_batches(stub, batch_format="pyarrow"))
-
-    def resolve(part: pd.DataFrame) -> pd.DataFrame:
-        real = part[part["score"].notna()].copy()
-        real["matches"] = (real.groupby("id_from", sort=False)["id_from"]
-                           .transform("size").astype(np.float64))
-        if not keep_unmatched:
-            return real
-        na = part[part["score"].isna()].copy()
-        na = na[~na["id_from"].isin(real["id_from"])]
-        na = na.drop_duplicates("id_from")
-        na["matches"] = 0.0
-        return pd.concat([real, na], ignore_index=True)
-
-    return grouped_map(both, "id_from", resolve)
+    # from-records with no candidate: one stub each (distinct by
+    # construction — counts holds one row per from-id)
+    def stub(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["matches"], 0.0))
+        return pa.table({"id_from": t["id_from"],
+                         "id_to": pa.nulls(len(t), pa.string()),
+                         "score": pa.array(np.full(len(t), np.nan)),
+                         "matches": t["matches"]})
+    return out.union(counts.map_batches(stub, batch_format="pyarrow"))
 
 
 def attach_pair_attrs(pairs, records, *, id_col: str,
@@ -598,8 +547,6 @@ def attach_pair_attrs(pairs, records, *, id_col: str,
 
     Record ids are matched as strings (bigram_candidates normalizes pair
     ids to str)."""
-    from .join import hash_join
-
     def side(suffix: str):
         def fn(t: pa.Table) -> pa.Table:
             cols = {f"id{suffix}": t[id_col].cast(pa.string())}

@@ -9,13 +9,13 @@ to connected components. Here:
     id_to) -> (node, entity_id). Edge lists up to ``DRIVER_EDGE_MAX``
     close in a driver-side vectorized union-find; larger ones run
     iterative hash-min label propagation (each node adopts the min label
-    in its neighborhood; iterate to fixpoint). Every iteration is ONE
-    ``grouped_map`` shuffle of the (node, label) table at one fixed width
-    (edges are pre-partitioned by src once); convergence is detected
-    with a changed-count aggregate, no wall-clock reads. Iterations ~
-    graph diameter — link graphs here are small star-ish families, so 2-3
-    rounds; the hash-min scheme is the standard scalable CC on Ray-style
-    shuffles (cf. PAPERS.md BTS/large-star-small-star for the adversarial
+    in its neighborhood; iterate to fixpoint) with pointer doubling. Every
+    iteration is ONE ``grouped_map`` shuffle of the (node, label) table;
+    the loop stops exactly, on a changed-count aggregate: the first min
+    step that lowers no label. Iterations ~ log of the graph diameter —
+    link graphs here are small star-ish families, so 2-3 rounds; the
+    hash-min scheme is the standard scalable CC on Ray-style shuffles
+    (cf. PAPERS.md BTS/large-star-small-star for the adversarial
     long-path case).
 
   * ``expand_index`` — exact single-round parity with util.R:14-44 for the
@@ -34,53 +34,12 @@ __all__ = ["connected_components", "expand_index", "attach_entity_ids",
            "golden_records"]
 
 
-_HM = np.uint64(0x9E3779B97F4A7C15)      # odd → bijective mod 2^64
-
 # connected_components closes edge lists up to this size on the driver,
 # larger ones with the distributed iteration
 DRIVER_EDGE_MAX = 5_000_000
 # round cap of the distributed iteration (pointer doubling converges in
 # O(log diameter) rounds)
 _MAX_ROUNDS = 50
-
-
-def _rowhash_utf8(arr) -> np.ndarray:
-    """Per-row 64-bit polynomial hash of a string column computed DIRECTLY
-    on the Arrow buffers (offsets + UTF-8 data): h(row) = Σ (byte+1)·M^pos
-    mixed with the row length — fully vectorized over the flat byte
-    buffer, zero Python-object materialization."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    arr = arr.cast(pa.large_string())     # int64 offsets, uniform path
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    bufs = arr.buffers()
-    off = np.frombuffer(bufs[1], np.int64,
-                        count=n + 1 + arr.offset)[arr.offset:]
-    data = np.frombuffer(bufs[2], np.uint8)
-    lo, hi = int(off[0]), int(off[-1])
-    starts, ends = off[:-1] - lo, off[1:] - lo
-    lens = ends - starts
-    npos = hi - lo
-    with np.errstate(over="ignore"):
-        if npos:
-            seg = data[lo:hi].astype(np.uint64)
-            max_len = int(lens.max())
-            ptab = np.full(max(max_len, 1), _HM, np.uint64)
-            ptab[0] = np.uint64(1)
-            ptab = np.cumprod(ptab)       # M^k mod 2^64 (wraps)
-            pos_in_row = np.arange(npos, dtype=np.int64) - np.repeat(
-                starts, lens)
-            w = (seg + np.uint64(1)) * ptab[pos_in_row]
-            csum = np.zeros(npos + 1, np.uint64)
-            np.cumsum(w, out=csum[1:])
-            raw = csum[ends] - csum[starts]
-        else:
-            raw = np.zeros(n, np.uint64)
-        h = (raw ^ lens.astype(np.uint64)) * _HM
-        h ^= h >> np.uint64(29)
-    return h
 
 
 def _sym_edges(ds_links, id_from: str, id_to: str):
@@ -175,7 +134,6 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
         return rd.from_arrow(pa.table({"node": nodes, "entity_id": ents}))
 
     edges = _sym_edges(ds_links, id_from, id_to).materialize()
-    n_parts = min(64, max(8, edges.num_blocks()))
 
     # init: every node starts with the min label among itself + direct
     # neighbors (first hash-min round fused into initialization)
@@ -184,45 +142,41 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
         lab = pc.if_else(pc.less_equal(t["src"], t["dst"]), t["src"], t["dst"])
         return pa.table({"node": t["src"], "label": lab})
 
-    from .grouped import grouped_map
+    from .grouped import grouped_map, shuffle_width
 
-    _label_schema = pa.schema([("node", pa.string()), ("label", pa.string())])
+    _label_schema = pa.schema([("node", pa.string()), ("label", pa.string()),
+                               ("changed", pa.bool_())])
 
     def min_label_part(df: pd.DataFrame) -> pa.Table:
         """Vectorized per-partition min-label (arrow out — unions with the
-        arrow msgs datasets need uniform block types)."""
-        out = (df.groupby("node", sort=False)["label"].min().reset_index())
-        return pa.Table.from_pandas(out, schema=_label_schema,
-                                    preserve_index=False)
+        arrow msgs datasets need uniform block types). ``changed`` flags a
+        node whose min is below its own label (the ``own`` rows of a
+        round's union; the init step has none)."""
+        new = df.groupby("node", sort=False)["label"].min()
+        if "own" in df:
+            own = df[df["own"]].set_index("node")["label"]
+            changed = new.to_numpy() < own.reindex(new.index).to_numpy()
+        else:
+            changed = np.zeros(len(new), bool)
+        return pa.table({"node": pa.array(new.index.to_numpy(object),
+                                          pa.string()),
+                         "label": pa.array(new.to_numpy(object), pa.string()),
+                         "changed": pa.array(changed, pa.bool_())},
+                        schema=_label_schema)
 
     labels = (grouped_map(edges.map_batches(init_msgs, batch_format="pyarrow"),
-                          "node", min_label_part, num_partitions=n_parts)
+                          "node", min_label_part)
               .materialize())
+    # every node has a label row from here on: one width for the rounds
+    width = shuffle_width(labels.count())
+
+    def own_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"node": t["node"], "label": t["label"],
+                         "own": pa.array(np.ones(len(t), bool))})
 
     def to_msgs(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["dst"], "label": t["label"]})
-
-    def _signature(ds) -> int:
-        """Order-independent content hash of the (node,label) table: one
-        cheap streaming pass (per-batch vectorized hash + driver sum mod
-        2^64) — labels move monotonically downward, so signature equality
-        ⇔ fixpoint (up to a ~2^-64 collision that would cost one early
-        stop; the alternative exact check is a full extra shuffle per
-        iteration). Rows hash straight off the Arrow UTF-8 buffers
-        (_rowhash_utf8) — no per-value Python materialization (the old
-        ``to_pylist()`` walked every id twice per iteration)."""
-        def batch_sig(t: pa.Table) -> pa.Table:
-            hn = _rowhash_utf8(t["node"])
-            hl = _rowhash_utf8(t["label"])
-            with np.errstate(over="ignore"):
-                h = hn ^ ((hl << np.uint64(1)) | (hl >> np.uint64(63)))
-                # mix to decorrelate, then wrap-sum per batch
-                h = (h ^ (h >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-            s = int(h.sum(dtype=np.uint64))
-            return pa.table({"sig": pa.array([s & 0x7FFFFFFFFFFFFFFF],
-                                             pa.int64())})
-        parts = ds.map_batches(batch_sig, batch_format="pyarrow").take_all()
-        return sum(r["sig"] for r in parts) & 0xFFFFFFFFFFFFFFFF
+        return pa.table({"node": t["dst"], "label": t["label"],
+                         "own": pa.array(np.zeros(len(t), bool))})
 
     def shortcut(ds_labels):
         """Pointer doubling: label <- label(label). Every label value is
@@ -237,22 +191,24 @@ def connected_components(ds_links, *, id_from: str = "conv_id_from",
             return pa.table({"node": t["node"], "label": t["label_p"]})
         return j.map_batches(take_parent, batch_format="pyarrow")
 
-    prev_sig = _signature(labels)
+    labels = labels.select_columns(["node", "label"])
     for _ in range(_MAX_ROUNDS):
         # propagate: join edges (on src) with labels -> candidate label for dst
         # (hash_join, not Dataset.join — see stages/join.py on why)
         msgs = hash_join(edges, labels, on="src", right_on="node",
                          how="inner").map_batches(to_msgs, batch_format="pyarrow")
-        new_labels = grouped_map(labels.union(msgs), "node", min_label_part,
-                                 num_partitions=n_parts)
+        step = grouped_map(
+            labels.map_batches(own_rows, batch_format="pyarrow")
+            .union(msgs), "node", min_label_part).materialize()
+        # labels only drop, and each is a member id <= its node: a step
+        # that drops none leaves every edge's ends equal, so each
+        # component holds its min id — the exact fixpoint
+        if not step.sum("changed"):
+            break
         # bound block growth: unions + shuffles compound the block count
         # geometrically across iterations without an explicit repartition
-        new_labels = shortcut(new_labels).repartition(n_parts).materialize()
-        sig = _signature(new_labels)
-        labels = new_labels
-        if sig == prev_sig:
-            break
-        prev_sig = sig
+        labels = (shortcut(step.select_columns(["node", "label"]))
+                  .repartition(width).materialize())
     return labels.rename_columns({"label": "entity_id"})
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+from .grouped import group_pairs, widen
 from .textstats import fnv1a_64
 
 __all__ = [
@@ -30,29 +31,9 @@ __all__ = [
 ]
 
 
-# minhash_lsh_dedup re-joins signatures per candidate pair (slim shuffle)
-# above this many docs, and carries them inline in the band rows below
-REJOIN_MIN_DOCS = 2_000_000
 # segment_dedup / dup_spans broadcast their hot set (duplicated segments or
 # windows) up to this many entries; above it they hash-join distributed
 HOT_SET_BROADCAST_MAX = 5_000_000
-
-
-def _widen(ds):
-    """Repartition a narrow input up to session width (2× session CPUs)
-    before a heavy pre-shuffle stage. A single-block source (from_pandas,
-    one small parquet file) otherwise runs the whole signature/shingle
-    computation as ONE serial task — downstream grouped_map shuffles
-    spread the SHUFFLE, not the map that feeds it. A materialized input
-    that is already that wide passes through untouched."""
-    from .grouped import default_partitions
-    n = default_partitions()
-    try:
-        if ds.num_blocks() >= n:   # already wide (materialized only)
-            return ds
-    except Exception:
-        pass                        # lazy plan: width unknown
-    return ds.repartition(n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +217,7 @@ def minhash_signatures(ds, *, text_col: str = "text", id_col: str = "doc_id",
     one ``np.minimum.reduceat`` over the doc-contiguous hash runs — no
     per-document Python loop (min over the shingle multiset equals min
     over the set, so no dedup pass is needed)."""
-    ds = _widen(ds)
+    ds = widen(ds)
     seeds = _splitmix64(np.arange(1, num_perm + 1, dtype=np.uint64))
     maxv = np.iinfo(np.uint64).max
 
@@ -261,86 +242,26 @@ def minhash_signatures(ds, *, text_col: str = "text", id_col: str = "doc_id",
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _minhash_rejoin_pairs(sigged, band_keys_fn, sig_matrix_fn, *,
-                          id_col: str, bands: int,
-                          jaccard_threshold: float, max_bucket_pairs: int):
-    """Scale layout for the LSH shuffle: only slim ``(id, band_key)`` rows
-    move; signatures are re-joined per CANDIDATE pair and verified
-    vectorized (the ``simhash_dup_pairs`` pattern)."""
-    pair_schema = pa.schema([("id_from", pa.int64()), ("id_to", pa.int64()),
-                             ("est_jaccard", pa.float64())])
-
-    def explode_slim(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy().astype(np.int64, copy=False)
-        keys = band_keys_fn(sig_matrix_fn(t))
-        return pa.table({
-            id_col: pa.array(np.tile(ids, bands)),
-            "band_key": pa.array(keys.reshape(-1).astype(np.int64))})
-
-    exploded = sigged.map_batches(explode_slim, batch_format="pyarrow")
-    pairs = _bucket_candidate_pairs(exploded, key_col="band_key",
-                                    id_col=id_col, cap=max_bucket_pairs)
-
-    def pack_sig(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t[id_col].cast(pa.int64()),
-                         "sig_b": _pack_rows(
-                             sig_matrix_fn(t).astype(np.int64))})
-
-    joined = _join_payload(pairs, sigged.map_batches(
-        pack_sig, batch_format="pyarrow"), id_col=id_col, col="sig_b")
-
-    def verify(t: pa.Table) -> pa.Table:
-        if not len(t):
-            return pair_schema.empty_table()
-        A = _unpack_rows(t["sig_b_from"].combine_chunks(), np.int64)
-        B = _unpack_rows(t["sig_b_to"].combine_chunks(), np.int64)
-        est = (A == B).mean(axis=1)
-        keep = pa.array(est >= jaccard_threshold)
-        return pa.table({
-            "id_from": t["id_from"].filter(keep),
-            "id_to": t["id_to"].filter(keep),
-            "est_jaccard": pa.array(est[est >= jaccard_threshold],
-                                    pa.float64())})
-
-    return joined.map_batches(verify, batch_format="pyarrow")
-
-
 def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 64, bands: int = 16, shingle_k: int = 5,
-                      jaccard_threshold: float = 0.7,
-                      max_bucket_pairs: int = 200_000):
+                      jaccard_threshold: float = 0.7):
     """MinHash + banded LSH near-dup pairs.
 
     shingle -> minhash (map_batches) -> explode one row per band with a
     band-hash key -> ONE groupby(band_key) shuffle -> same-bucket
     candidates -> est Jaccard = fraction of equal permutation slots,
-    filtered >= threshold. The signature table is materialized once and
-    its row count picks one of two shuffle layouts:
+    filtered >= threshold. The signature rides each band row PACKED as
+    one fixed-size binary value (contiguous bytes, not a per-row Python
+    list), so the estimate filter runs IN the bucket before any pair
+    leaves it: a dup-heavy corpus produces ~100x more raw band collisions
+    than true near-dups (measured 401k collisions -> 258 pairs at sf0.1),
+    and only the survivors reach the pair-dedup shuffle.
 
-      * inline (at most ``REJOIN_MIN_DOCS`` docs) — the signature rides
-        each band row PACKED as one fixed-size binary value (contiguous
-        bytes, not a per-row Python list) and the estimate filter runs IN
-        the bucket before any pair leaves it. A dup-heavy corpus produces
-        ~100x more raw band collisions than true near-dups (measured 401k
-        collisions -> 258 pairs at sf0.1), so in-bucket filtering wins at
-        moderate scale despite replicating the signature x bands through
-        the shuffle.
-      * rejoin (more than ``REJOIN_MIN_DOCS`` docs) — slim
-        ``(id, band_key)`` rows only through the shuffle (8 KB/doc of
-        signature bytes saved at num_perm=64 x 16 bands), candidate pairs
-        enumerated by the salted equality blocker, signatures re-joined
-        per CANDIDATE PAIR and verified vectorized — the
-        ``simhash_dup_pairs`` layout. Wins when corpus size x signature
-        width dominates the collision count (100-TB regime).
-
-    Both layouts return identical pairs (pytest-pinned by patching the
-    gate): the estimate is computed over the full signature either way.
     Returns Dataset[(id_from, id_to, est_jaccard)] with id_from < id_to.
     """
     rows_per_band = num_perm // bands
     sigged = minhash_signatures(ds, text_col=text_col, id_col=id_col,
-                                num_perm=num_perm,
-                                shingle_k=shingle_k).materialize()
+                                num_perm=num_perm, shingle_k=shingle_k)
 
     def _band_keys(sig: np.ndarray) -> np.ndarray:
         """(n, num_perm) uint64 signatures -> (bands, n) band-hash keys."""
@@ -359,12 +280,6 @@ def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
             t["minhash"].combine_chunks().flatten().to_numpy(
                 zero_copy_only=False)
         ).reshape(len(t), num_perm).astype(np.uint64)
-
-    if sigged.count() > REJOIN_MIN_DOCS:
-        return _minhash_rejoin_pairs(
-            sigged, _band_keys, _sig_matrix, id_col=id_col, bands=bands,
-            jaccard_threshold=jaccard_threshold,
-            max_bucket_pairs=max_bucket_pairs)
 
     def explode(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy().astype(np.int64, copy=False)
@@ -385,47 +300,18 @@ def minhash_lsh_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     def bucket_pairs_partition(part: pd.DataFrame) -> pa.Table:
         """Coarse partition of many complete buckets: singleton buckets
-        (the vast majority) drop in ONE vectorized filter; pair indices for
-        every surviving bucket come from group-offset arithmetic — zero
-        per-bucket Python."""
-        sizes = part.groupby("band_key", sort=False)["band_key"].transform(
-            "size")
-        part = part[sizes > 1]
+        (the vast majority) drop in ONE vectorized filter and every
+        surviving bucket's pairs come from ``group_pairs``."""
+        part, chunks = group_pairs(part, "band_key")
         if not len(part):
             return pair_schema.empty_table()
-        grp = part.groupby("band_key", sort=False).ngroup().to_numpy()
-        order = np.argsort(grp, kind="stable")
-        part = part.iloc[order]
-        grp = grp[order]
         ids = part[id_col].to_numpy(np.int64)
         M = _unpack_rows(part["sig_b"], np.int64)
-        # triu pair indices per bucket, all buckets at once; enumeration
-        # runs in bounded CHUNKs so a degenerate mega-bucket (e.g. 100k
-        # boilerplate docs sharing a band) cannot allocate k²/2 indices in
-        # one shot. NOTE the OUTPUT of a clique of near-identical docs is
-        # inherently quadratic — run exact_dedup first on dup-heavy
-        # corpora (pipelines/curate.py does exactly that).
-        n_per = np.bincount(grp)
-        starts = np.cumsum(n_per) - n_per
-        n_pairs = n_per * (n_per - 1) // 2
-        tot = int(n_pairs.sum())
-        cum = np.cumsum(n_pairs)
-        offs = cum - n_pairs
-        CHUNK = 5_000_000
+        # the OUTPUT of a clique of near-identical docs is inherently
+        # quadratic — run exact_dedup first on dup-heavy corpora
+        # (pipelines/curate.py does exactly that)
         frames = []
-        for s0 in range(0, tot, CHUNK):
-            idx = np.arange(s0, min(s0 + CHUNK, tot), dtype=np.int64)
-            pgrp = np.searchsorted(cum, idx, side="right")
-            w = idx - offs[pgrp]               # within-bucket pair index
-            k = n_per[pgrp]
-            # map linear index w -> (i, j) of the strict upper triangle
-            i_ = (k - 2 - np.floor(
-                np.sqrt(-8.0 * w + 4.0 * k * (k - 1) - 7) / 2.0 - 0.5)
-            ).astype(np.int64)
-            j_ = (w + i_ + 1 - k * (k - 1) // 2
-                  + (k - i_) * ((k - i_) - 1) // 2).astype(np.int64)
-            fi = starts[pgrp] + i_
-            ti = starts[pgrp] + j_
+        for fi, ti in chunks:
             est = (M[fi] == M[ti]).mean(axis=1)
             keep = est >= jaccard_threshold
             a, b = ids[fi[keep]], ids[ti[keep]]
@@ -463,7 +349,7 @@ def simhash_signatures(ds, *, text_col: str = "text"):
     (which packed the bit vector reversed) — Hamming distances between
     same-version signatures are unchanged, but signatures persisted by the
     old code must not be compared against new ones."""
-    ds = _widen(ds)
+    ds = widen(ds)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
@@ -586,7 +472,7 @@ def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     global quadratic would be a driver-killer at scale.
     """
     from .grouped import grouped_map
-    ds = _widen(ds)
+    ds = widen(ds)
 
     def _pairs_in_block(g: pd.DataFrame) -> pd.DataFrame:
         """Vectorized exact block kernel: intersections from one self-merge
@@ -724,7 +610,7 @@ def embedding_dup_pairs(ds, *, vec_col: str = "embedding",
         return keyed.groupby("_bucket").map_groups(
             pairs, batch_format="pandas")
 
-    ds = _widen(ds).materialize()
+    ds = widen(ds).materialize()
     if n_planes == "auto":
         n_rows = ds.count()
         n_planes = int(np.clip(np.ceil(np.log2(max(n_rows, 2)
@@ -852,7 +738,7 @@ def segment_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    ds = _widen(ds)
+    ds = widen(ds)
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         _, _, segs = _batch_segments(df[text_col].tolist(), words_per_seg)
@@ -1048,7 +934,7 @@ def semantic_dedup(ds, *, vec_col: str = "embedding",
     """
     from .simsearch import assign_clusters, kmeans_centroids, _norm_rows
     from .grouped import grouped_map
-    ds = _widen(ds)
+    ds = widen(ds)
     slim = ds.select_columns([id_col, vec_col])
     C = kmeans_centroids(slim, vec_col=vec_col, k=n_clusters,
                          sample_size=sample_size, seed=seed)
@@ -1255,7 +1141,7 @@ def dup_spans(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    ds = _widen(ds)
+    ds = widen(ds)
 
     def partial_docs(df: pd.DataFrame) -> pd.DataFrame:
         doc_of, _, wins = _batch_windows(df[text_col].tolist(), win, stride)
@@ -1511,7 +1397,7 @@ def ngram_containment_pairs(ds, *, text_col: str = "text",
     table per block — no Python pair loop); unblocked inputs above
     ``unblocked_cap`` raise rather than run a silent global quadratic."""
     from .grouped import grouped_map
-    ds = _widen(ds)
+    ds = widen(ds)
 
     def _pairs_in_block(g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy(np.int64)
@@ -1634,10 +1520,9 @@ def incremental_minhash_dedup(new_ds, frozen_ds, *,
     and never re-deduped against itself. Ids must be globally unique
     across both sides. Output: the surviving new rows, full columns.
 
-    Scale shape: one LSH pair detection over the tagged union (slim
-    (id, band_key) shuffle + signature re-join above the corpus
-    threshold — :func:`minhash_lsh_dedup`'s layouts apply unchanged),
-    two slim hash joins attach each pair end's side bit, and the drop
+    Scale shape: one LSH pair detection over the tagged union
+    (:func:`minhash_lsh_dedup`: in-bucket estimate filter), two slim hash
+    joins attach each pair end's side bit, and the drop
     set anti-joins the increment. Nothing ever broadcasts the frozen
     corpus."""
     from .grouped import typed_or_empty

@@ -12,10 +12,10 @@ exchange.
 
 One rule sets the width: ``shuffle_width`` of the input's row count, so a
 few-hundred-row shuffle runs one reduce task, not a cluster-wide one.
-Operators do not take a width. The two callers that pass one to
-``grouped_map`` are blocking's pair exchange (``heavy_width``: quadratic
-per-partition work) and distributed connected components (a fixed width
-across its iterations).
+Operators do not take a width. The one caller that passes one to
+``grouped_map`` is blocking's pair exchange (``heavy_width``: quadratic
+per-partition work). ``widen`` spreads a narrow input before a heavy map
+stage.
 
 All high-cardinality engine ops route through this: hash_join's per-key
 merge, rank selection, LSH bucket pairing, blocking pair generation.
@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-__all__ = ["grouped_map", "heavy_width", "key_hash", "shuffle_width",
-           "typed_or_empty"]
+__all__ = ["group_pairs", "grouped_map", "heavy_width", "key_hash",
+           "shuffle_width", "typed_or_empty", "widen"]
 
 _PART = "__gpart"
 
@@ -77,6 +77,60 @@ def heavy_width(n_rows: int, cap: int) -> int:
     CPUs while there are rows to spread, so a small quadratic stage still
     runs on every CPU instead of one."""
     return max(shuffle_width(n_rows, cap), min(n_rows, _cluster_cpus(), cap))
+
+
+def widen(ds):
+    """Spread a narrow input to ``default_partitions()`` blocks before a
+    heavy map stage. A single-block source (from_pandas, one small parquet
+    file) otherwise runs the whole map as ONE serial task — the shuffles
+    downstream spread the shuffle, not the map that feeds it. A
+    materialized input that is already that wide passes through; a lazy
+    one (its block count is unknown) is repartitioned."""
+    n = default_partitions()
+    try:
+        if ds.num_blocks() >= n:
+            return ds
+    except NotImplementedError:   # lazy plan
+        pass
+    return ds.repartition(n)
+
+
+def group_pairs(df: pd.DataFrame, key: str):
+    """Every within-group row pair of ``df`` grouped by ``key``, by
+    group-offset arithmetic — no per-group Python. Returns ``(rows,
+    chunks)``: ``rows`` keeps the groups of two or more rows, each one
+    contiguous (groups in first-seen order, rows stable inside a group);
+    ``chunks`` yields ``(i, j)`` position arrays into ``rows``, i < j in
+    one group, at most 5M pairs at a time, so a degenerate mega-group
+    (100k boilerplate docs in one LSH bucket) cannot allocate k²/2
+    indices in one shot. The pairs themselves stay quadratic in the group
+    size."""
+    sizes = df.groupby(key, sort=False)[key].transform("size")
+    df = df[sizes > 1]
+    grp = df.groupby(key, sort=False).ngroup().to_numpy()
+    df = df.iloc[np.argsort(grp, kind="stable")]
+    n_per = np.bincount(grp)
+    starts = np.cumsum(n_per) - n_per
+    n_pairs = n_per * (n_per - 1) // 2
+    cum = np.cumsum(n_pairs)
+    offs = cum - n_pairs
+    chunk = 5_000_000
+
+    def chunks():
+        tot = int(n_pairs.sum())
+        for s0 in range(0, tot, chunk):
+            idx = np.arange(s0, min(s0 + chunk, tot), dtype=np.int64)
+            pgrp = np.searchsorted(cum, idx, side="right")
+            w = idx - offs[pgrp]               # within-group pair index
+            k = n_per[pgrp]
+            # map linear index w -> (i, j) of the strict upper triangle
+            i_ = (k - 2 - np.floor(
+                np.sqrt(-8.0 * w + 4.0 * k * (k - 1) - 7) / 2.0 - 0.5)
+            ).astype(np.int64)
+            j_ = (w + i_ + 1 - k * (k - 1) // 2
+                  + (k - i_) * ((k - i_) - 1) // 2).astype(np.int64)
+            yield starts[pgrp] + i_, starts[pgrp] + j_
+    return df, chunks()
 
 
 def _typed_empty(df: pd.DataFrame):

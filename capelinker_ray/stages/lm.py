@@ -80,9 +80,8 @@ def trigram_nll(ds, *, text_col: str = "text", id_col: str = "doc_id",
     the driver is therefore fine as long as the pruned head of the Zipf
     curve does. Pruned trigrams score through the unseen-code path —
     add-one smoothing already defines their mass."""
-    from .dedup import _widen
-    from .grouped import grouped_map
-    ds = _widen(ds)
+    from .grouped import grouped_map, widen
+    ds = widen(ds)
     slim = ds.select_columns([id_col, text_col])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:

@@ -149,7 +149,7 @@ def tfidf_cosine_pairs(ds, *, text_col: str = "text",
     """
     import pyarrow as pa
 
-    from .grouped import grouped_map
+    from .grouped import group_pairs, grouped_map
     from .join import hash_join
 
     n_docs = ds.count()
@@ -217,40 +217,22 @@ def tfidf_cosine_pairs(ds, *, text_col: str = "text",
                              ("part", pa.float64())])
 
     def token_dots(df: pd.DataFrame) -> pa.Table:
-        """All complete posting lists of one partition: pair indices for
-        every token via group-offset arithmetic — zero per-token Python."""
-        sizes = df.groupby("token", sort=False)["token"].transform("size")
-        df = df[sizes > 1]
+        """All complete posting lists of one partition: every token's
+        pairs from ``group_pairs`` — zero per-token Python."""
+        df, chunks = group_pairs(df, "token")
         if not len(df):
             return part_schema.empty_table()
-        grp = df.groupby("token", sort=False).ngroup().to_numpy()
-        order = np.argsort(grp, kind="stable")
-        df = df.iloc[order]
-        grp = grp[order]
         ids = df[id_col].to_numpy(np.int64)
         vals = (df["w"].to_numpy(np.float64)
                 / df["nrm"].to_numpy(np.float64))
-        n_per = np.bincount(grp)
-        starts = np.cumsum(n_per) - n_per
-        n_pairs = n_per * (n_per - 1) // 2
-        tot = int(n_pairs.sum())
-        cum = np.cumsum(n_pairs)
-        offs = cum - n_pairs
-        idx = np.arange(tot, dtype=np.int64)
-        pgrp = np.searchsorted(cum, idx, side="right")
-        wi = idx - offs[pgrp]
-        k = n_per[pgrp]
-        i_ = (k - 2 - np.floor(
-            np.sqrt(-8.0 * wi + 4.0 * k * (k - 1) - 7) / 2.0 - 0.5)
-        ).astype(np.int64)
-        j_ = (wi + i_ + 1 - k * (k - 1) // 2
-              + (k - i_) * ((k - i_) - 1) // 2).astype(np.int64)
-        fi, ti = starts[pgrp] + i_, starts[pgrp] + j_
-        a, b = ids[fi], ids[ti]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return pa.table({"id_from": lo, "id_to": hi,
-                         "part": vals[fi] * vals[ti]}, schema=part_schema)
+        out = []
+        for fi, ti in chunks:
+            a, b = ids[fi], ids[ti]
+            out.append(pa.table({"id_from": np.minimum(a, b),
+                                 "id_to": np.maximum(a, b),
+                                 "part": vals[fi] * vals[ti]},
+                                schema=part_schema))
+        return pa.concat_tables(out)
 
     partials = grouped_map(wn, "token", token_dots)
 

@@ -14,13 +14,12 @@ EXECUTION_KNOBS = {
     "batch_size", "input_partitions", "strategy", "payload_mode",
     "rejoin_threshold", "broadcast_threshold", "broadcast_nodes",
     "concurrency", "num_cpus", "max_iterations", "num_partitions",
-    "shuffle", "batch_format", "max_broadcast_bytes",
+    "shuffle", "batch_format", "max_broadcast_bytes", "broadcast_from_ids",
 }
 
 # the one allowed knob: grouped_map is the shuffle primitive itself, and
-# the two callers with a width rule of their own (blocking's quadratic
-# pair exchange via heavy_width, and distributed connected components'
-# fixed width across iterations) pass it; every other caller takes the
+# the one caller with a width rule of its own (blocking's quadratic pair
+# exchange, via heavy_width) passes it; every other caller takes the
 # shuffle_width default
 EXEMPT = {"capelinker_ray.stages.grouped.grouped_map(num_partitions)"}
 

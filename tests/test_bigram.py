@@ -64,15 +64,17 @@ def test_bigram_corpus_wide_with_salting(ray_session):
     assert _got(out) == _expected(f, t, 0.5)
 
 
-def test_bigram_fallback_resolve_parity(ray_session):
-    """broadcast_from_ids=0 forces the co-partitioned matches fallback;
-    output must equal the broadcast fast path (incl. unmatched stubs)."""
+def test_bigram_fallback_resolve_parity(ray_session, monkeypatch):
+    """A zero broadcast gate forces hash_join's shuffle for the matches
+    join; output must equal the dense kernel (incl. unmatched stubs)."""
+    from capelinker_ray.stages import join
+    monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
     f = pd.DataFrame({"s": _rand(60, 7) + [None], "id": [f"f{i}" for i in range(61)]})
     t = pd.DataFrame({"s": _rand(70, 8), "id": [f"t{i}" for i in range(70)]})
     out = bigram_candidates(rd.from_pandas(f), rd.from_pandas(t),
-                            blockvariable="s", id_col="id", maxdist=0.5,
-                            broadcast_from_ids=0).to_pandas()
-    assert _got(out) == _expected(f, t, 0.5)
+                            blockvariable="s", id_col="id", maxdist=0.5)
+    assert out.columns() == ["id_from", "id_to", "score", "matches"]
+    assert _got(out.to_pandas()) == _expected(f, t, 0.5)
 
 
 def test_bigram_idf_corpus_wide(ray_session):

@@ -4,6 +4,8 @@ expand_index single-round parity (util.R:14-44 semantics)."""
 import numpy as np
 import pandas as pd
 import ray.data as rd
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from capelinker_ray.stages.cluster import (
     attach_entity_ids, connected_components, expand_index,
@@ -43,6 +45,53 @@ def test_cc_long_path_converges(ray_session, monkeypatch):
     assert cc["p"] == cc["q"] == "p"
     assert len(cc) == 10
     assert cc == driver
+
+
+@st.composite
+def _graphs(draw):
+    """Edge lists of disjoint paths, stars and isolated pairs over
+    shuffled node ids (so the min id sits anywhere in a component)."""
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(["path", "star", "pair"]),
+                  st.integers(2, 12)), min_size=1, max_size=5))
+    n = sum(2 if kind == "pair" else size for kind, size in pieces)
+    perm = draw(st.permutations(range(n)))
+    ids = [f"n{i:03d}" for i in perm]
+    edges, at = [], 0
+    for kind, size in pieces:
+        size = 2 if kind == "pair" else size
+        comp = ids[at:at + size]
+        at += size
+        if kind == "star":
+            edges += [(comp[0], x) for x in comp[1:]]
+        else:
+            edges += list(zip(comp[:-1], comp[1:]))
+    return edges
+
+
+_PATH64 = [(f"p{i:02d}", f"p{i + 1:02d}") for i in range(63)]
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(_graphs())
+@example(_PATH64)
+def test_cc_distributed_equals_driver_union_find(ray_session, monkeypatch,
+                                                  edges):
+    """The distributed hash-min path (forced by a zero edge gate) labels
+    every node with its component's min id, as the driver union-find
+    does."""
+    from capelinker_ray.stages import cluster
+    monkeypatch.setattr(cluster, "DRIVER_EDGE_MAX", 0)
+    a, b = zip(*edges)
+    nodes, ents = cluster._union_find_local(list(a), list(b))
+    exp = dict(zip(nodes.to_pylist(), ents.to_pylist()))
+    links = rd.from_pandas(pd.DataFrame(
+        {"conv_id_from": a, "conv_id_to": b}))
+    got = {r["node"]: r["entity_id"]
+           for r in cluster.connected_components(links).take_all()}
+    assert got == exp
 
 
 def test_attach_entity_singletons(ray_session):

@@ -173,23 +173,34 @@ def test_embedding_lsh_path(ray_session):
     assert len(got) >= 0.9 * len(ex) > 0  # multi-table recall
 
 
-def test_minhash_payload_modes_identical(ray_session, monkeypatch):
-    """inline vs rejoin LSH shuffle layouts must return identical pairs +
-    estimates (r2 verdict: adaptive minhash shuffle for the 100-TB path).
-    The default gate takes the inline layout here; a zero gate forces the
-    rejoin one."""
-    from capelinker_ray.stages import dedup
+def test_minhash_lsh_matches_brute_force(ray_session):
+    """minhash_lsh_dedup returns exactly the pairs a brute-force pass over
+    minhash_signatures finds: every pair with at least one fully equal
+    band (a shared band key) and an estimate >= threshold, with that
+    estimate."""
+    from capelinker_ray.stages.dedup import minhash_signatures
     df = _corpus()
-    outs = {}
-    for mode, gate in (("inline", dedup.REJOIN_MIN_DOCS), ("rejoin", 0)):
-        monkeypatch.setattr(dedup, "REJOIN_MIN_DOCS", gate)
-        out = minhash_lsh_dedup(rd.from_pandas(df),
-                                jaccard_threshold=0.5).to_pandas()
-        outs[mode] = (out.sort_values(["id_from", "id_to"])
-                      .reset_index(drop=True)
-                      [["id_from", "id_to", "est_jaccard"]])
-    assert len(outs["inline"]) > 0
-    pd.testing.assert_frame_equal(outs["inline"], outs["rejoin"])
+    thr, bands = 0.5, 16
+    out = minhash_lsh_dedup(rd.from_pandas(df), bands=bands,
+                            jaccard_threshold=thr).to_pandas()
+    got = {(a, b): e for a, b, e in
+           zip(out["id_from"], out["id_to"], out["est_jaccard"])}
+    assert len(got) == len(out)          # one row per pair
+    sigs = minhash_signatures(rd.from_pandas(df)).to_pandas()
+    ids = sigs["doc_id"].to_numpy(np.int64)
+    M = np.stack(sigs["minhash"].to_numpy())
+    exp, below = {}, 0
+    for i in range(len(ids)):
+        eq = M[i] == M                    # (n, num_perm)
+        band_hit = eq.reshape(len(ids), bands, -1).all(axis=2).any(axis=1)
+        band_hit &= ids[i] < ids
+        est = eq.mean(axis=1)
+        below += int((band_hit & (est < thr)).sum())
+        for j in np.nonzero(band_hit & (est >= thr))[0]:
+            exp[(ids[i], ids[j])] = est[j]
+    assert len(exp) > 0
+    assert below > 0                      # the estimate filter is live
+    assert got == exp
 
 
 def test_batch_shingles_nul_in_text_matches_per_doc_kernel():
