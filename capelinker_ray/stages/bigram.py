@@ -495,16 +495,24 @@ def bigram_candidates(ds_from, ds_to=None, *, blockvariable: str,
     # per-id_from counts are nf-bounded: partial-count each batch (plus
     # one zero row per from-record when unmatched ones are kept), sum the
     # partials, and join the sums back onto the pairs — hash_join
-    # broadcasts or shuffles them by their measured size
-    def pcount(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby("id_from", sort=False).size()
-                .rename("n").reset_index())
+    # broadcasts or shuffles them by their measured size. Both partial
+    # sources emit one Arrow schema: the grouped sum's sort-shuffle
+    # samples boundaries across blocks of one type.
+    partial_schema = pa.schema([("id_from", pa.string()), ("n", pa.int64())])
+
+    def pcount(df: pd.DataFrame) -> pa.Table:
+        n = df.groupby("id_from", sort=False).size()
+        return pa.table({"id_from": pa.array(n.index.to_numpy(object),
+                                             pa.string()),
+                         "n": pa.array(n.to_numpy(np.int64))},
+                        schema=partial_schema)
 
     partials = norm.map_batches(pcount, batch_format="pandas")
     if keep_unmatched:
         def zero(t: pa.Table) -> pa.Table:
             return pa.table({"id_from": t[id_col].cast(pa.string()),
-                             "n": pa.array(np.zeros(len(t), np.int64))})
+                             "n": pa.array(np.zeros(len(t), np.int64))},
+                            schema=partial_schema)
         partials = partials.union(
             f_slim.map_batches(zero, batch_format="pyarrow"))
 
