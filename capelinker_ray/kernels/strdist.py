@@ -18,9 +18,12 @@ environment) of every kernel the reference uses:
 
 Vectorization strategy: strings are decoded once per batch into a dense
 ``(n_pairs, max_len)`` uint32 codepoint matrix (a zero-cost numpy view of the
-fixed-width unicode array), and the DP / matching loops run over *character
-positions* (bounded, ~tens) with every operation vectorized over the pair
-axis. No Python loop over pairs in any hot kernel.
+fixed-width unicode array), and the loops run over *character positions*
+(bounded, ~tens) with every operation vectorized over the pair axis. No
+Python loop over pairs in any hot kernel. Jaro and OSA / Levenshtein rows
+whose two strings fit in 64 codepoints run bit-parallel over ``uint64``
+match masks, one word step per character of the second string (Myers 1999,
+Hyyrö 2003); longer rows run the per-cell DP, ``L1 * L2`` steps.
 
 Null semantics match stringdist: a null on either side yields NaN (SURVEY
 §1.2). Empty-vs-empty compares equal (distance 0 / similarity 1).
@@ -98,12 +101,12 @@ def _encode_arrow_ascii(arr, max_len: int | None):
     if max_len is not None:
         L = min(L, max_len)
     take = np.minimum(lens, L)
-    codes = np.zeros((n, L), dtype=np.uint32)
-    if L and take.sum():
-        rows = np.repeat(np.arange(n, dtype=np.int64), take)
-        starts = np.cumsum(take) - take
-        within = np.arange(int(take.sum()), dtype=np.int64) - starts[rows]
-        codes[rows, within] = data[off[:-1][rows] + within]
+    if L:                                   # one gather of every (row, pos)
+        live = np.arange(L) < take[:, None]
+        src = np.where(live, off[:-1, None] + np.arange(L), 0)
+        codes = np.where(live, data[src], 0).astype(np.uint32)
+    else:
+        codes = np.zeros((n, 0), dtype=np.uint32)
     return codes, take.astype(np.int64), valid
 
 
@@ -144,31 +147,156 @@ def encode(strings, max_len: int | None = None):
 
 
 # ---------------------------------------------------------------------------
+# Row routing and chunking
+# ---------------------------------------------------------------------------
+
+# rows per kernel call: inputs are sliced to this many pairs BEFORE decode,
+# so the decoded codepoints, the (L2, rows, word) match compare and the
+# per-position word vectors stay cache-resident (see _chunk_pairs). Swept
+# over 1k-8k rows: 4k and 8k tie on 32-char pairs, 4k is faster on 64-char
+# pairs and for soundex, 1k-2k pay per-call overhead
+_CHUNK = 4_096
+_WORD = 64          # bits per match mask: the longest string a word holds
+
+
+def _needs_chunk(s1):
+    return (not isinstance(s1, str) and hasattr(s1, "__len__")
+            and len(s1) > _CHUNK)
+
+
+def _chunk_pairs(fn, s1, s2):
+    """Apply ``fn(s1_chunk, s2_chunk) -> float64[n]`` over ``_CHUNK``-row
+    slices, slicing BEFORE decode. Two reasons: (a) the decoded (n, L)
+    working set stays cache-resident through the kernel sweeps, and (b)
+    each chunk's scratch arrays reuse the same malloc arenas — this
+    kernel's page-fault cost on fresh multi-MB anonymous memory is ~100x a
+    cached page, so one whole-batch decode of an 80k-row block costs more
+    in faults than the entire distance computation (np.repeat of a fresh
+    2.8M-int64 array was measured at ~1 s)."""
+    n = len(s1)
+    return np.concatenate([fn(s1[s:s + _CHUNK], s2[s:s + _CHUNK])
+                           for s in range(0, n, _CHUNK)])
+
+
+def _run_core(bits_core, dp_core, A, la, B, lb, *args) -> np.ndarray:
+    """Rows whose two strings fit in one ``_WORD``-bit match mask take the
+    bit-parallel ``bits_core``; longer rows (untruncated text) keep the
+    per-cell DP ``dp_core``. Both return the same values on the rows they
+    share (tests/test_kernels.py checks it)."""
+    short = (la <= _WORD) & (lb <= _WORD)
+    if short.all():
+        return bits_core(A[:, :_WORD], la, B[:, :_WORD], lb, *args)
+    out = np.empty(len(la), dtype=np.float64)
+    s, g = np.flatnonzero(short), np.flatnonzero(~short)
+    out[s] = bits_core(A[s, :_WORD], la[s], B[s, :_WORD], lb[s], *args)
+    out[g] = dp_core(A[g], la[g], B[g], lb[g], *args)
+    return out
+
+
+def _match_masks(A, la, B, lb) -> np.ndarray:
+    """``(L2, n)`` uint64 match masks: bit ``i`` of ``PM[j, r]`` is set
+    where ``A[r, i] == B[r, j]``, for ``i < la[r]`` and ``j < lb[r]``
+    (``la, lb <= 64``).
+
+    One broadcast compare of every B position against a word-wide A row,
+    packed 8 flags per byte into a ``w``-bit word (``w`` the power of two
+    >= L1, at least 8). Codes are compared as uint8 when every codepoint
+    fits; the padding on each side takes a value the other never holds."""
+    n, L1 = A.shape
+    L2 = B.shape[1]
+    w = 8
+    while w < L1:
+        w *= 2
+    top = max(int(A.max(initial=0)), int(B.max(initial=0)))
+    dt = np.uint8 if top < 0xFE else np.uint32
+    no_a = np.iinfo(dt).max
+    Ap = np.full((n, w), no_a, dtype=dt)
+    Ap[:, :L1] = np.where(np.arange(L1) < la[:, None], A, no_a)
+    # C order, so the compare's output is C order and packs without a copy
+    Bt = np.ascontiguousarray(
+        np.where(np.arange(L2) < lb[:, None], B, no_a - 1).astype(dt).T)
+    eq = Bt[:, :, None] == Ap[None, :, :]               # (L2, n, w)
+    bits = np.packbits(eq.reshape(-1), bitorder="little")
+    return bits.view(f"<u{w // 8}").reshape(L2, n).astype(np.uint64)
+
+
+# ---------------------------------------------------------------------------
 # Jaro / Jaro-Winkler
 # ---------------------------------------------------------------------------
 
-def _jaro_core(A, la, B, lb, int_transpositions: bool = False):
-    """Jaro similarity from codepoint matrices; vectorized over rows.
+_LOW = np.array([(1 << k) - 1 for k in range(_WORD + 1)], dtype=np.uint64)
+_ONE = np.uint64(1)
 
-    ``int_transpositions=False`` counts half-transpositions as 0.5
+
+def _jaro_from_counts(m, t, la, lb, int_transpositions: bool):
+    """Jaro similarity from match counts ``m`` and half-transposition
+    counts ``t`` (both cores share this arithmetic, so they agree to the
+    bit). ``int_transpositions=False`` counts half-transpositions as 0.5
     (stringdist parity); ``True`` floors them to integers (rapidfuzz /
     DuckDB ``jaro_winkler_similarity`` parity — they differ whenever the
-    matched subsequences form an odd-length mismatch cycle).
+    matched subsequences form an odd-length mismatch cycle)."""
+    out = np.where((la == 0) & (lb == 0), 1.0, 0.0)
+    m = m.astype(np.float64)
+    has = m > 0
+    if has.any():
+        t = np.floor(t / 2.0) if int_transpositions else t / 2.0
+        la_f = np.where(la == 0, 1, la).astype(np.float64)
+        lb_f = np.where(lb == 0, 1, lb).astype(np.float64)
+        jaro = (m / la_f + m / lb_f + (m - t) / np.where(has, m, 1.0)) / 3.0
+        out = np.where(has, jaro, out)
+    return out
+
+
+def _jaro_bits(A, la, B, lb, int_transpositions: bool = False):
+    """Jaro similarity, bit-parallel, for rows with ``la, lb <= 64``.
+
+    Each B position in turn takes the lowest unflagged A bit inside its
+    match window (``x & -x`` on the windowed match mask) — the greedy
+    matching of ``_jaro_core``, one word op per position instead of a
+    sweep over A. Transpositions pair the k-th matched B position with the
+    k-th flagged A bit and read the match mask: a clear bit is a mismatch.
     """
+    n, L2 = B.shape
+    PM = _match_masks(A, la, B, lb)
+    md = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    j = np.arange(L2)[:, None]
+    lo = np.maximum(j - md, 0)                     # window [lo, hi) over A
+    hi = np.minimum(j + md + 1, la)
+    window = PM & _LOW[hi] & ~_LOW[lo]
+    flagged = np.zeros(n, dtype=np.uint64)
+    taken = np.empty((L2, n), dtype=np.uint64)
+    for k in range(L2):
+        x = window[k] & ~flagged
+        x &= -x
+        flagged |= x
+        taken[k] = x
+    matched = taken != 0
+    t = np.zeros(n, dtype=np.int64)
+    rest = flagged
+    for k in range(L2):
+        first = rest & -rest
+        first *= matched[k]
+        t += (PM[k] & first) != first
+        rest = rest ^ first
+    return _jaro_from_counts(matched.sum(axis=0), t, la, lb,
+                             int_transpositions)
+
+
+def _jaro_core(A, la, B, lb, int_transpositions: bool = False):
+    """Jaro similarity by a sweep over every (A, B) position pair,
+    vectorized over rows: the path for rows longer than a match word, and
+    the reference ``_jaro_bits`` is tested against."""
     n, L1 = A.shape
     L2 = B.shape[1]
-    out = np.zeros(n, dtype=np.float64)
-    both_empty = (la == 0) & (lb == 0)
-    out[both_empty] = 1.0
     if L1 == 0 or L2 == 0:
-        return out
+        return _jaro_from_counts(np.zeros(n), np.zeros(n), la, lb, False)
 
     md = np.maximum(np.maximum(la, lb) // 2 - 1, 0)  # match window half-width
     a_matched = np.zeros((n, L1), dtype=bool)
     b_matched = np.zeros((n, L2), dtype=bool)
     for i in range(L1):
         ai = A[:, i]
-        active = (i < la) & (ai != 0)
+        active = i < la
         if not active.any():
             continue
         found = np.zeros(n, dtype=bool)
@@ -189,9 +317,9 @@ def _jaro_core(A, la, B, lb, int_transpositions: bool = False):
                 found |= cand
         a_matched[:, i] = found
 
-    m = a_matched.sum(axis=1).astype(np.float64)
-    has = m > 0
-    if has.any():
+    m = a_matched.sum(axis=1)
+    t = np.zeros(n, dtype=np.int64)
+    if m.any():
         # gather matched chars in order (scatter by cumulative match rank)
         maxm = int(m.max())
         ka = np.cumsum(a_matched, axis=1) - 1
@@ -202,13 +330,8 @@ def _jaro_core(A, la, B, lb, int_transpositions: bool = False):
         Sa[r, ka[r, c]] = A[r, c]
         r, c = np.nonzero(b_matched)
         Sb[r, kb[r, c]] = B[r, c]
-        t = ((Sa != Sb) & (Sa != 0) & (Sb != 0)).sum(axis=1)
-        t = np.floor(t / 2.0) if int_transpositions else t / 2.0
-        la_f = np.where(la == 0, 1, la).astype(np.float64)
-        lb_f = np.where(lb == 0, 1, lb).astype(np.float64)
-        jaro = (m / la_f + m / lb_f + (m - t) / np.where(has, m, 1.0)) / 3.0
-        out = np.where(has, jaro, out)
-    return out
+        t = ((Sa != Sb) & (np.arange(maxm) < m[:, None])).sum(axis=1)
+    return _jaro_from_counts(m, t, la, lb, int_transpositions)
 
 
 def _common_prefix_len(A, la, B, lb, cap=4):
@@ -222,87 +345,15 @@ def _common_prefix_len(A, la, B, lb, cap=4):
     return run.sum(axis=1).astype(np.int64)
 
 
-def _rows_equal(A, la, B, lb) -> np.ndarray:
-    """Rowwise exact string equality from codepoint matrices — O(n·L) fast
-    path so the O(n·L²) DP only runs on unequal pairs (near-dup workloads
-    compare MANY identical strings)."""
-    if la.shape != lb.shape:
-        return np.zeros(len(la), dtype=bool)
-    eq = la == lb
-    L = min(A.shape[1], B.shape[1])
-    if A.shape[1] != B.shape[1]:
-        # lengths equal but padding differs; compare the common width
-        eq &= (A[:, :L] == B[:, :L]).all(axis=1)
-        return eq
-    eq &= (A == B).all(axis=1) if L else eq
-    return eq
-
-
-# rows per core() invocation: the DP cores sweep ~10 n-length working
-# arrays per (i,j) cell, so one monolithic call on an 80k-row Ray block
-# spills the working set out of L2 every sweep — chunking keeps it
-# cache-resident (measured ~3x on 32-char pairs). Sweet spots differ by
-# core working-set width: the jaro matcher peaks near 8k rows, the
-# (L2+1)-wide edit DP near 4k (swept in-repo; see BASELINE.md).
-_JARO_CHUNK = 8_192
-_EDIT_CHUNK = 4_096
-
-
-def _core_with_eq_fastpath(core, A, la, B, lb, equal_value, *args,
-                           chunk: int = _JARO_CHUNK):
-    eq = _rows_equal(A, la, B, lb)
-    n = len(la)
-    out = np.full(n, float(equal_value))
-    ne = np.flatnonzero(~eq)
-    if len(ne):
-        An = A[ne]
-        Bn = B[ne]
-        # ASCII fast path: the DP inner loops are memory-bound; uint8
-        # codepoints quarter the traffic (uint32 kept for general unicode)
-        if ((An.max(initial=0) < 256) and (Bn.max(initial=0) < 256)):
-            An = An.astype(np.uint8)
-            Bn = Bn.astype(np.uint8)
-        lan, lbn = la[ne], lb[ne]
-        res = np.empty(len(ne), dtype=np.float64)
-        for s in range(0, len(ne), chunk):
-            e = s + chunk
-            res[s:e] = core(np.ascontiguousarray(An[s:e]), lan[s:e],
-                            np.ascontiguousarray(Bn[s:e]), lbn[s:e], *args)
-        out[ne] = res
-    return out
-
-
-
-
-def _needs_chunk(s1, chunk):
-    return (not isinstance(s1, str) and hasattr(s1, "__len__")
-            and len(s1) > chunk)
-
-
-def _chunk_pairs(fn, s1, s2, chunk):
-    """Apply ``fn(s1_chunk, s2_chunk) -> float64[n]`` over row chunks,
-    slicing BEFORE decode. Two reasons: (a) the decoded (n, L) working
-    set stays cache-resident through the DP sweeps, and (b) each chunk's
-    scratch arrays reuse the same malloc arenas — this kernel's
-    page-fault cost on fresh multi-MB anonymous memory is ~100x a cached
-    page, so one whole-batch decode of an 80k-row block costs more in
-    faults than the entire distance computation (measured: np.repeat of
-    a fresh 2.8M-int64 array = ~1 s on this box)."""
-    n = len(s1)
-    return np.concatenate([fn(s1[s:s + chunk], s2[s:s + chunk])
-                           for s in range(0, n, chunk)])
-
 def jaro_sim(s1, s2, max_len: int | None = None,
              int_transpositions: bool = False) -> np.ndarray:
     """Pairwise Jaro similarity. Null in -> NaN out."""
-    if _needs_chunk(s1, _JARO_CHUNK):
+    if _needs_chunk(s1):
         return _chunk_pairs(
-            lambda a, b: jaro_sim(a, b, max_len, int_transpositions),
-            s1, s2, _JARO_CHUNK)
+            lambda a, b: jaro_sim(a, b, max_len, int_transpositions), s1, s2)
     A, la, v1 = encode(s1, max_len)
     B, lb, v2 = encode(s2, max_len)
-    sim = _core_with_eq_fastpath(_jaro_core, A, la, B, lb, 1.0,
-                                 int_transpositions)
+    sim = _run_core(_jaro_bits, _jaro_core, A, la, B, lb, int_transpositions)
     sim[~(v1 & v2)] = np.nan
     return sim
 
@@ -316,15 +367,14 @@ def jaro_winkler_sim(s1, s2, p: float = 0.1, bt: float = 0.0,
     reference's distcalc); ``bt`` the boost threshold (stringdist default 0:
     boost always applied; set 0.7 for the classic Winkler / DuckDB variant).
     """
-    if _needs_chunk(s1, _JARO_CHUNK):
+    if _needs_chunk(s1):
         return _chunk_pairs(
             lambda a, b: jaro_winkler_sim(a, b, p=p, bt=bt, max_len=max_len,
                                           int_transpositions=int_transpositions),
-            s1, s2, _JARO_CHUNK)
+            s1, s2)
     A, la, v1 = encode(s1, max_len)
     B, lb, v2 = encode(s2, max_len)
-    sim = _core_with_eq_fastpath(_jaro_core, A, la, B, lb, 1.0,
-                                 int_transpositions)
+    sim = _run_core(_jaro_bits, _jaro_core, A, la, B, lb, int_transpositions)
     if p > 0:
         ell = _common_prefix_len(A, la, B, lb).astype(np.float64)
         boosted = sim + ell * p * (1.0 - sim)
@@ -340,18 +390,54 @@ def jw_dist(s1, s2, p: float = 0.1, bt: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# OSA / Levenshtein (DP vectorized over pairs; loops over char positions)
+# OSA / Levenshtein
 # ---------------------------------------------------------------------------
 
+def _edit_bits(A, la, B, lb, transpositions: bool):
+    """Levenshtein (``transpositions=False``) or OSA distance, bit-parallel,
+    for rows with ``la, lb <= 64``: Myers' (1999) bit-vector recurrence
+    over B's positions, plus Hyyrö's (2003) transposition term ``tr`` for
+    OSA. Each step moves the distance by the horizontal delta at A's last
+    bit; a row's distance is read at ``j == lb - 1``."""
+    n, L2 = B.shape
+    PM = _match_masks(A, la, B, lb)
+    vp = np.full(n, ~np.uint64(0))
+    vn = np.zeros(n, dtype=np.uint64)
+    d0 = np.zeros(n, dtype=np.uint64)
+    prev_eq = d0
+    last = _LOW[la] ^ _LOW[np.maximum(la - 1, 0)]    # bit la - 1; 0 if la == 0
+    dist = la.astype(np.int64)
+    out = dist.copy()                                  # lb == 0: la
+    for j in range(L2):
+        eq = PM[j]
+        if transpositions:
+            tr = ((~d0 & eq) << _ONE) & prev_eq
+            prev_eq = eq
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        if transpositions:
+            d0 |= tr
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        dist += (hp & last) != 0
+        dist -= (hn & last) != 0
+        np.copyto(out, dist, where=lb == j + 1)
+        hp = (hp << _ONE) | _ONE
+        hn <<= _ONE
+        vp = hn | ~(d0 | hp)
+        vn = hp & d0
+    return np.where(la == 0, lb, out).astype(np.float64)
+
+
 def _edit_core(A, la, B, lb, transpositions: bool):
+    """Levenshtein / OSA distance by the per-cell DP, vectorized over rows:
+    the path for rows longer than a match word, and the reference
+    ``_edit_bits`` is tested against."""
     n, L1 = A.shape
     L2 = B.shape[1]
     ans = np.where(la == 0, lb, -1).astype(np.int64)
     if L1 == 0:
-        return np.where(la == 0, lb, la).astype(np.int64)
-    INF = np.int64(1 << 30)
-    # int32 DP rows: distances are bounded by max_len (<= a few hundred);
-    # halving the row width halves the cache-critical traffic per cell
+        return np.where(la == 0, lb, la).astype(np.float64)
+    # int32 DP rows: distances are bounded by the string lengths
     prev = np.broadcast_to(np.arange(L2 + 1, dtype=np.int32), (n, L2 + 1)).copy()
     prev2 = None
     for i in range(1, L1 + 1):
@@ -372,13 +458,15 @@ def _edit_core(A, la, B, lb, transpositions: bool):
         if done.any():
             ans[done] = cur[done, lb[done]]
         prev2, prev = prev, cur
-    # rows longer than L1 can't occur (L1 is the max); guard anyway
-    ans = np.where(ans < 0, INF, ans)
-    return ans
+    return ans.astype(np.float64)
 
 
-def _edit_core_f(A, la, B, lb, transpositions):
-    return _edit_core(A, la, B, lb, transpositions).astype(np.float64)
+def _edit_dist(s1, s2, max_len, transpositions: bool):
+    """(distance, la, lb, valid) of aligned string pairs."""
+    A, la, v1 = encode(s1, max_len)
+    B, lb, v2 = encode(s2, max_len)
+    d = _run_core(_edit_bits, _edit_core, A, la, B, lb, transpositions)
+    return d, la, lb, v1 & v2
 
 
 def osa_dist(s1, s2, max_len: int | None = None) -> np.ndarray:
@@ -386,41 +474,30 @@ def osa_dist(s1, s2, max_len: int | None = None) -> np.ndarray:
 
     Parity target: stringdist(method='osa'). Null -> NaN.
     """
-    if _needs_chunk(s1, _EDIT_CHUNK):
-        return _chunk_pairs(lambda a, b: osa_dist(a, b, max_len),
-                            s1, s2, _EDIT_CHUNK)
-    A, la, v1 = encode(s1, max_len)
-    B, lb, v2 = encode(s2, max_len)
-    d = _core_with_eq_fastpath(_edit_core_f, A, la, B, lb, 0.0, True,
-                               chunk=_EDIT_CHUNK)
-    d[~(v1 & v2)] = np.nan
+    if _needs_chunk(s1):
+        return _chunk_pairs(lambda a, b: osa_dist(a, b, max_len), s1, s2)
+    d, _, _, valid = _edit_dist(s1, s2, max_len, True)
+    d[~valid] = np.nan
     return d
 
 
 def levenshtein_dist(s1, s2, max_len: int | None = None) -> np.ndarray:
-    if _needs_chunk(s1, _EDIT_CHUNK):
+    if _needs_chunk(s1):
         return _chunk_pairs(lambda a, b: levenshtein_dist(a, b, max_len),
-                            s1, s2, _EDIT_CHUNK)
-    A, la, v1 = encode(s1, max_len)
-    B, lb, v2 = encode(s2, max_len)
-    d = _core_with_eq_fastpath(_edit_core_f, A, la, B, lb, 0.0, False,
-                               chunk=_EDIT_CHUNK)
-    d[~(v1 & v2)] = np.nan
+                            s1, s2)
+    d, _, _, valid = _edit_dist(s1, s2, max_len, False)
+    d[~valid] = np.nan
     return d
 
 
 def osa_sim(s1, s2, max_len: int | None = None) -> np.ndarray:
     """stringsim(method='osa') parity: 1 - d / max(len1, len2); 1.0 when both empty."""
-    if _needs_chunk(s1, _EDIT_CHUNK):
-        return _chunk_pairs(lambda a, b: osa_sim(a, b, max_len),
-                            s1, s2, _EDIT_CHUNK)
-    A, la, v1 = encode(s1, max_len)
-    B, lb, v2 = encode(s2, max_len)
-    d = _core_with_eq_fastpath(_edit_core_f, A, la, B, lb, 0.0, True,
-                               chunk=_EDIT_CHUNK)
+    if _needs_chunk(s1):
+        return _chunk_pairs(lambda a, b: osa_sim(a, b, max_len), s1, s2)
+    d, la, lb, valid = _edit_dist(s1, s2, max_len, True)
     mx = np.maximum(la, lb).astype(np.float64)
     sim = np.where(mx > 0, 1.0 - d / np.where(mx > 0, mx, 1.0), 1.0)
-    sim[~(v1 & v2)] = np.nan
+    sim[~valid] = np.nan
     return sim
 
 
@@ -447,9 +524,9 @@ def _soundex_code_matrix(strings):
     that must stay cache-resident. Slicing happens BEFORE decode so
     pyarrow inputs keep the buffer-level encode fast path."""
     n = len(strings)
-    if n > _JARO_CHUNK:
-        outs = [_soundex_code_matrix(strings[s:s + _JARO_CHUNK])
-                for s in range(0, n, _JARO_CHUNK)]
+    if n > _CHUNK:
+        outs = [_soundex_code_matrix(strings[s:s + _CHUNK])
+                for s in range(0, n, _CHUNK)]
         return (np.concatenate([o[0] for o in outs]),
                 np.concatenate([o[1] for o in outs]),
                 np.concatenate([o[2] for o in outs]))

@@ -100,8 +100,8 @@ class CheckpointManager:
         ``materialize()`` — downstream consumers fan out from the object
         store instead of re-executing the whole upstream chain per consumer
         (a lazy Dataset re-runs its lineage for EVERY action). ``stream``
-        marks pass-through stages (e.g. the final sorted turn output) that
-        exactly one consumer drives.
+        marks pass-through stages (e.g. the scored pairs, which link
+        selection alone reads) that exactly one consumer drives.
         """
         self._ordinal += 1
         h = self._effective_hash(name, params, inputs)

@@ -148,7 +148,7 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
             attr_cols=PAIR_ATTR_COLS, max_block_pairs=max_block_pairs,
             keep_unmatched=False)
         # pair blocks inherit the (salted) block layout — a hot shard can
-        # hold ~max_block_pairs rows whose O(len²) feature DP would make one
+        # hold ~max_block_pairs rows whose feature kernels would make one
         # straggler task gate the stage; rebalance into small even blocks.
         # PIN the pair table before that repartition: chaining the pair-
         # emission exchange and the balance exchange in one streaming plan
@@ -211,9 +211,13 @@ def link_transcripts(ds_turns, *, model: str = "m_boost_transcripts",
         # (conv_id, turn_idx) order (BASELINE.json input_hint)
         return out.sort(["conv_id", "turn_idx"]) if sort_output else out
 
+    # pinned: Ray 2.49's to_arrow_refs asks an unpinned Dataset for its
+    # schema after streaming the blocks, which re-runs the whole plan
+    # (read, join, sort); the sort already holds every output block, so
+    # the pin adds no peak memory
     turns_out = ck.stage("turns_out", build_turns_out,
                          inputs=("turns", "entities"),
-                         params={"sort_output": sort_output}, stream=True)
+                         params={"sort_output": sort_output})
 
     return {
         "records": records, "pairs": pairs, "scored": scored,

@@ -43,11 +43,6 @@ from ..kernels.textutil import gk
 __all__ = ["distcalc", "add_pair_features", "TRANSCRIPT_FEATURES"]
 
 
-def _obj(t: pa.Table, col: str) -> np.ndarray:
-    """Column -> object ndarray (strings with None for nulls)."""
-    return np.asarray(t[col].to_pylist(), dtype=object)
-
-
 def _str_col(t: pa.Table, col: str):
     """String column handed to the distance kernels AS ARROW — their
     ``encode`` decodes pure-ASCII arrays straight from the UTF-8 buffer
@@ -70,12 +65,12 @@ def _distcalc_batch(t: pa.Table, character_variables, numeric_variables,
                     osa_variables, gauss_variables, p_jw, sdx) -> pa.Table:
     cols: dict[str, np.ndarray] = {}
     for v in character_variables:
-        f, to = _obj(t, f"{v}_from"), _obj(t, f"{v}_to")
+        f, to = _str_col(t, f"{v}_from"), _str_col(t, f"{v}_to")
         cols[f"{v}dist"] = 1.0 - jaro_winkler_sim(f, to, p=p_jw)
         if sdx:
             cols[f"{v}sdx"] = soundex_dist(f, to)
     for v in osa_variables:
-        f, to = _obj(t, f"{v}_from"), _obj(t, f"{v}_to")
+        f, to = _str_col(t, f"{v}_from"), _str_col(t, f"{v}_to")
         cols[f"{v}dist_osa"] = 1.0 - osa_sim(f, to)
     for v in numeric_variables:
         cols[f"{v}dist"] = _num(t, f"{v}_from") - _num(t, f"{v}_to")
@@ -147,11 +142,11 @@ def _pair_features_batch(t: pa.Table, ts_sigma_days: float) -> pa.Table:
     ts_f = _num(t, "ts_min_from") / 86_400e6  # days
     ts_t = _num(t, "ts_min_to") / 86_400e6
 
-    # JW/OSA are O(len²) per pair — cap the compared prefix at 32 normalized
-    # chars (2× the 16-char blocking prefix; near-dup signal saturates long
-    # before that, and uncapped multi-hundred-char turns would dominate the
-    # whole pipeline's wall time). Identical strings short-circuit the DP
-    # entirely (strdist._core_with_eq_fastpath).
+    # cap the compared prefix at 32 normalized chars (2× the 16-char
+    # blocking prefix; near-dup signal saturates long before that). Within
+    # one 64-bit match word JW/OSA run the bit-parallel cores, one word
+    # step per character of the second string; uncapped multi-hundred-char
+    # turns would fall back to the per-cell DP (strdist._run_core).
     cols = {
         "first_textdist": 1.0 - jaro_winkler_sim(ff, ft, p=0.1, max_len=32),
         "first_textdist_osa": 1.0 - osa_sim(ff, ft, max_len=32),

@@ -120,8 +120,10 @@ def hash_join(left, right, *, on: str | list[str], right_on=None,
     is the keys, then the left value columns, then the right ones, typed
     as in the inputs (right keys are cast to the left key types).
 
-    ``semi``/``anti`` return LEFT columns only (SQL EXISTS / NOT EXISTS
-    semantics: null left keys never match, so anti retains them). The right
+    ``semi``/``anti`` return the LEFT columns only, in the left's order
+    (SQL EXISTS / NOT EXISTS semantics: null left keys never match, so
+    anti retains them); a union with a filtered left (bloom_anti_join's
+    misses) then has one block layout. The right
     side is projected to its key columns first; on the shuffle path it is
     also per-batch-deduplicated — a fact-table probe side (orders per
     customer) ships one row per distinct key per batch, not one per fact
@@ -168,6 +170,7 @@ def hash_join(left, right, *, on: str | list[str], right_on=None,
     out_rvals = {c: c + suffixes[1] if c in ltypes else c for c in rvals}
     lvals = [c for c in ltypes if c not in on]
     out_schema = pa.schema(
+        list(ltypes.items()) if keys_only else
         [(k, ltypes[k]) for k in on]
         + [(c, ltypes[c]) for c in lvals]
         + [(out_rvals[c], rtypes[c]) for c in rvals])

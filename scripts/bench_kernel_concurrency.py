@@ -24,6 +24,15 @@ per-core throughput is flat through K=8 and collapses ~42% at K=32
 flagship's 8->32 shortfall and to justify the 2->8 cpu measurement pair
 (both levels below the wall) as the engine-overhead evidence.
 
+Re-measured on a 4-vCPU Xeon VM with the bit-parallel Jaro and OSA cores
+(rows of up to 64 codepoints) against the per-cell DP cores they replace,
+same arguments (50k pairs x 4 iters per process):
+
+          per-cell DP             bit-parallel
+    K=1   per-proc 114k  agg 114k    per-proc 238k  agg 238k   pairs/s
+    K=2   per-proc 125k  agg 251k    per-proc 261k  agg 523k
+    K=4   per-proc 129k  agg 516k    per-proc 299k  agg 1.20M
+
 Usage: python scripts/bench_kernel_concurrency.py [K] [iters]
 """
 

@@ -120,3 +120,26 @@ def test_key_hash_dtype_canonicalization():
     # non-integral floats keep their own identity
     a, b = _key_hash(np.array([1.5])), _key_hash(np.array([1.5]))
     assert a == b and a != _key_hash(np.array([1.0]))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_bloom_anti_join_one_column_order(ray_session, monkeypatch, shuffle):
+    """Both branches of the union (definite misses and the settled maybes)
+    are non-empty; every output block keeps the input's columns in the
+    input's order, the key not first."""
+    if shuffle:
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", 0)
+    left = pd.DataFrame({"v": np.arange(400, dtype=np.int64),
+                         "k": np.arange(400, dtype=np.int64) % 50,
+                         "w": np.arange(400, dtype=np.float64)})
+    right = pd.DataFrame({"k": np.arange(0, 50, 2, dtype=np.int64)})
+    out = bloom_anti_join(rd.from_pandas(left).repartition(4),
+                          rd.from_pandas(right), on="k", expected=25,
+                          fpp=0.3)
+    import ray
+    blocks = [b for b in ray.get(out.to_arrow_refs()) if len(b)]
+    assert len(blocks) >= 2
+    assert all(b.column_names == ["v", "k", "w"] for b in blocks), \
+        [b.column_names for b in blocks]
+    got = pd.concat([b.to_pandas() for b in blocks])
+    assert set(got["v"]) == set(left.loc[left["k"] % 2 == 1, "v"])

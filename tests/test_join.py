@@ -61,6 +61,20 @@ def test_hash_join_anti_keeps_null_keys(ray_session):
     assert sorted(out["lv"]) == [1, 5]
 
 
+def test_hash_join_semi_anti_keep_left_column_order(ray_session,
+                                                    monkeypatch):
+    """semi/anti return the left's columns in the left's order on both the
+    broadcast and the shuffle path (the key is not moved first)."""
+    from capelinker_ray.stages import join
+    left = rd.from_pandas(_l()[["lv", "k"]])
+    for gate in (join.BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(join, "BROADCAST_MAX_BYTES", gate)
+        for how in ("semi", "anti"):
+            out = hash_join(left, rd.from_pandas(_r()), on="k", how=how)
+            assert out.schema().names == ["lv", "k"], (gate, how)
+            assert list(out.to_pandas().columns) == ["lv", "k"], (gate, how)
+
+
 def test_hash_join_anti_right_on(ray_session):
     r = _r().rename(columns={"k": "kk"})
     out = hash_join(rd.from_pandas(_l()), rd.from_pandas(r),

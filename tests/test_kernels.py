@@ -7,6 +7,7 @@ Jaro-Winkler / OSA / Soundex (the same definitions stringdist implements).
 import math
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from capelinker_ray.kernels import (
     token_jaccard,
     uniformise_string,
 )
+from capelinker_ray.kernels import strdist
 
 
 # ---------------------------------------------------------------- Jaro-Winkler
@@ -237,3 +239,77 @@ def test_soundex_total(strings):
             assert len(c) == 4 and c[0].isalpha()
         else:
             assert c == ""
+
+
+# ------------------------------------------- bit-parallel cores vs the DP
+# Rows whose strings fit in one 64-bit match word take the bit-parallel
+# cores (strdist._jaro_bits / _edit_bits); the per-cell DP cores are the
+# reference. Forcing every row through the DP must not change one bit.
+
+# repeats, a NUL, the uint8 edge (þ = 0xFE, ÿ = 0xFF, Ā = 0x100) and a CJK
+# codepoint
+_PARITY_ALPHABET = "aab baé漢\x00þÿĀ"
+_parity_text = st.one_of(
+    st.none(), st.just(""),
+    st.text(alphabet=_PARITY_ALPHABET, max_size=80),
+    # near the 64-codepoint word: some rows fit, some take the DP
+    st.text(alphabet=_PARITY_ALPHABET, min_size=56, max_size=72))
+
+
+def _parity_calls(s1, s2, max_len, p, bt, int_t):
+    return {
+        "jaro_sim": jaro_sim(s1, s2, max_len=max_len, int_transpositions=int_t),
+        "jaro_winkler_sim": jaro_winkler_sim(
+            s1, s2, p=p, bt=bt, max_len=max_len, int_transpositions=int_t),
+        "osa_dist": osa_dist(s1, s2, max_len=max_len),
+        "osa_sim": osa_sim(s1, s2, max_len=max_len),
+        "levenshtein_dist": levenshtein_dist(s1, s2, max_len=max_len),
+    }
+
+
+def _assert_parity(s1, s2, max_len=None, p=0.1, bt=0.0, int_t=False):
+    inputs = [(list(s1), list(s2))]
+    if all(s is None or s.isascii() for s in list(s1) + list(s2)):
+        # the Arrow buffer decode (ASCII fast path) feeds the cores too
+        inputs.append((pa.array(s1, pa.string()), pa.array(s2, pa.string())))
+    got = [_parity_calls(a, b, max_len, p, bt, int_t) for a, b in inputs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strdist, "_run_core", lambda bits, dp, *a: dp(*a))
+        ref = [_parity_calls(a, b, max_len, p, bt, int_t) for a, b in inputs]
+    for g, r in zip(got, ref):
+        for name in r:
+            assert np.array_equal(g[name], r[name], equal_nan=True), \
+                (name, s1, s2, g[name], r[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_parity_text, _parity_text), min_size=1,
+                max_size=12),
+       st.sampled_from([None, 70]), st.sampled_from([0.0, 0.1]),
+       st.sampled_from([0.0, 0.7]), st.booleans())
+def test_bit_parallel_cores_match_dp(pairs, max_len, p, bt, int_t):
+    s1 = [a for a, _ in pairs]
+    s2 = [b for _, b in pairs]
+    _assert_parity(s1, s2, max_len, p, bt, int_t)
+
+
+def test_bit_parallel_cores_match_dp_at_word_edge():
+    """63/64/65-char strings: one call mixes rows on both sides of the
+    64-codepoint word, including swaps, edits and repeats near its end."""
+    rng = np.random.default_rng(17)
+    s1, s2 = [], []
+    for n1, n2 in [(63, 63), (63, 64), (64, 64), (64, 65), (65, 65),
+                   (64, 63), (65, 64), (0, 64), (64, 0), (1, 64)]:
+        for _ in range(3):
+            a = "".join(rng.choice(list("abcé"), n1))
+            b = list(((a or "cab") * 70)[:n2])
+            for k in rng.integers(0, max(n2, 1), 3):
+                if n2 > 1 and k + 1 < n2:
+                    b[k], b[k + 1] = b[k + 1], b[k]
+            s1.append(a)
+            s2.append("".join(b))
+    s1 += ["a" * 64, "ab" * 32, "x" * 65]
+    s2 += ["a" * 64, "ba" * 32, "x" * 64]
+    for int_t in (False, True):
+        _assert_parity(s1, s2, int_t=int_t)
+        _assert_parity(s2, s1, int_t=int_t)

@@ -159,6 +159,10 @@ def test_link_transcripts_shuffle_join_parity(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(ents_b, ents_s)
     pd.testing.assert_frame_equal(tout_b, tout_s)
     assert len(tout_b) == turns.num_rows
+    # turns_out is pinned like every other stage: its record counts rows
+    for out in (bcast, shuf):
+        rows = {r["stage"]: r["rows"] for r in out["metrics"]}
+        assert rows["turns_out"] == turns.num_rows
     assert ents_b["entity_id"].notna().all()
     assert tout_b["entity_id"].notna().all()
     # regression guard: the flagship pins SLIM pair tables — the per-side
